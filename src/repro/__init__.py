@@ -17,7 +17,7 @@ Package map
 * :mod:`repro.overset` — synthetic overset-grid CFD scenarios (Fig. 1);
 * :mod:`repro.mapping` — the Eq. (1)/(2) cost model (reference + batched);
 * :mod:`repro.ce` — the cross-entropy method library (GenPerm, updates,
-  continuous CE, rare-event CE);
+  stopping rules, single- and multi-chain engines);
 * :mod:`repro.core` — MaTCH and its adaptive/distributed variants;
 * :mod:`repro.baselines` — FastMap-GA and auxiliary heuristics;
 * :mod:`repro.simulate` — discrete-event platform simulator;

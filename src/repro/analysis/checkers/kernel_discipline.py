@@ -1,6 +1,6 @@
 """kernel-discipline: compiled-kernel access only through ``repro.kernels``.
 
-The kernel layer's headline guarantee — every backend (numpy, numba, C)
+The kernel layer's headline guarantee — every backend (numpy, C)
 produces bit-identical floats, verified by the cross-backend parity
 matrix — only covers code that reaches compiled paths *through* the
 :mod:`repro.kernels` dispatch boundary. A ``numba`` / ``cffi`` /

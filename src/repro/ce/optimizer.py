@@ -1,26 +1,19 @@
-"""Generic cross-entropy optimizer for combinatorial problems (Fig. 2 / §3).
+"""The cross-entropy optimizer MaTCH runs (Fig. 2 / Fig. 5 steps 2-8).
 
-This is the reusable engine under MaTCH: it owns the CE iteration
-(sample → score → elite quantile → matrix update → stopping check) while
-remaining agnostic of *what* is being optimized. The sampling family is
-pluggable:
-
-* ``"permutation"`` — GenPerm one-to-one sampling (the MaTCH setting);
-* ``"independent"`` — unconstrained per-row categorical sampling (Eq. (8));
-* any callable ``(P, n_samples, rng) -> AssignmentBatch``.
-
-The objective is a batch function mapping an ``(N, n_rows)`` integer batch
-to ``(N,)`` costs — lower is better. The engine minimizes.
+It owns the CE iteration — GenPerm sampling over the task × resource
+stochastic matrix, scoring, elite quantile, Eq. (11)/(13) matrix update,
+Eq. (12)/Fig. 2 stopping check — while staying agnostic of the cost: the
+objective is a batch function mapping an ``(N, n_rows)`` integer batch to
+``(N,)`` costs — lower is better. The engine minimizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
-from repro.ce.genperm import sample_assignments, sample_permutations
+from repro.ce.genperm import sample_permutations
 from repro.ce.quantile import select_elites, select_top_k
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.ce.stopping import (
@@ -35,14 +28,12 @@ from repro.ce.stopping import (
 )
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
-from repro.types import AssignmentBatch, BatchObjectiveFn, ProbabilityMatrix, SeedLike
+from repro.types import AssignmentBatch, BatchObjectiveFn, SeedLike
 from repro.utils.dedup import collapse_duplicate_rows
 from repro.utils.rng import as_generator, generator_from_state, generator_state
 from repro.utils.validation import check_in_range
 
 __all__ = ["CEConfig", "CEResult", "CrossEntropyOptimizer"]
-
-SamplerLike = Union[str, Callable[[ProbabilityMatrix, int, np.random.Generator], AssignmentBatch]]
 
 
 @dataclass(frozen=True)
@@ -181,15 +172,14 @@ class CrossEntropyOptimizer:
     objective:
         Batch objective ``(N, n_rows) -> (N,)`` costs (minimized).
     n_rows, n_cols:
-        Shape of the stochastic matrix (tasks × resources for MaTCH).
+        Shape of the stochastic matrix (tasks × resources, ``n_rows <=
+        n_cols``); it starts uniform.
     config:
         Hyper-parameters.
-    sampler:
-        ``"permutation"``, ``"independent"``, or a callable.
     rng:
         Seed or generator for the whole run.
-    extra_stopping:
-        Optional additional criteria OR-ed with the defaults.
+    budget:
+        Evaluation budget every scored row is charged against.
     """
 
     def __init__(
@@ -199,15 +189,12 @@ class CrossEntropyOptimizer:
         n_cols: int,
         config: CEConfig,
         *,
-        sampler: SamplerLike = "permutation",
         rng: SeedLike = None,
-        extra_stopping: tuple[StoppingCriterion, ...] = (),
-        initial_matrix: ProbabilityMatrix | None = None,
         budget: "EvaluationBudget | None" = None,
     ) -> None:
         if n_rows < 1 or n_cols < 1:
             raise ConfigurationError(f"matrix dims must be >= 1, got ({n_rows}, {n_cols})")
-        if sampler == "permutation" and n_rows > n_cols:
+        if n_rows > n_cols:
             raise ConfigurationError(
                 "permutation sampling requires n_rows <= n_cols "
                 f"(got {n_rows} tasks, {n_cols} resources)"
@@ -217,14 +204,6 @@ class CrossEntropyOptimizer:
         self.n_cols = n_cols
         self.config = config
         self.rng = as_generator(rng)
-        if callable(sampler):
-            self._sample = sampler
-        elif sampler == "permutation":
-            self._sample = sample_permutations
-        elif sampler == "independent":
-            self._sample = sample_assignments
-        else:
-            raise ConfigurationError(f"unknown sampler {sampler!r}")
 
         criteria: list[StoppingCriterion] = [MaxIterations(config.max_iterations)]
         if config.stability_window > 0:
@@ -234,18 +213,9 @@ class CrossEntropyOptimizer:
         if config.gamma_window > 0:
             criteria.append(GammaStagnation(config.gamma_window))
         criteria.append(DegenerateMatrix())
-        criteria.extend(extra_stopping)
         self.stopping = AnyOf(tuple(criteria))
         self._select = select_top_k if config.elite_mode == "exact_k" else select_elites
-
-        if initial_matrix is not None:
-            self.matrix = StochasticMatrix(initial_matrix)
-            if self.matrix.shape != (n_rows, n_cols):
-                raise ConfigurationError(
-                    f"initial_matrix shape {self.matrix.shape} != ({n_rows}, {n_cols})"
-                )
-        else:
-            self.matrix = StochasticMatrix.uniform(n_rows, n_cols)
+        self.matrix = StochasticMatrix.uniform(n_rows, n_cols)
 
         self.budget = budget if budget is not None else EvaluationBudget()
         self._result: CEResult | None = None
@@ -336,7 +306,7 @@ class CrossEntropyOptimizer:
             # loop; record a clean external stop instead of spinning forever.
             self.note_external_stop("evaluation budget exhausted before sampling")
             return False
-        X = self._sample(self.matrix.view(), n_draw, self.rng)
+        X = sample_permutations(self.matrix.view(), n_draw, self.rng)
         costs = self._score(X, result)
         result.n_evaluations += X.shape[0]
 

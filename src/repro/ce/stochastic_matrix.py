@@ -118,19 +118,6 @@ class StochasticMatrix:
         return cls(np.full((n_rows, n_cols), 1.0 / n_cols))
 
     @classmethod
-    def _from_trusted(cls, values: np.ndarray) -> "StochasticMatrix":
-        """Wrap an already-stochastic array without validation or copy.
-
-        Internal hot-path constructor (the multi-chain engine publishes
-        per-iteration views to the stopping criteria through this). The
-        caller retains ownership of ``values`` and must not hand out the
-        wrapper beyond the current iteration.
-        """
-        obj = cls.__new__(cls)
-        obj._P = values
-        return obj
-
-    @classmethod
     def degenerate_from_assignment(cls, assignment, n_cols: int) -> "StochasticMatrix":
         """A 0/1 matrix putting all mass of row ``i`` on ``assignment[i]``."""
         a = np.asarray(assignment, dtype=np.int64)

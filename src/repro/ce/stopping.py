@@ -27,7 +27,6 @@ __all__ = [
     "IterationState",
     "StoppingCriterion",
     "RowMaximaStable",
-    "ArgmaxStable",
     "GammaStagnation",
     "MaxIterations",
     "DegenerateMatrix",
@@ -47,7 +46,6 @@ class StopKind(enum.Enum):
     NOT_RUN = "not_run"
     BUDGET = "budget"
     ROW_MAXIMA_STABLE = "row_maxima_stable"
-    ARGMAX_STABLE = "argmax_stable"
     GAMMA_STAGNATION = "gamma_stagnation"
     DEGENERATE = "degenerate"
     CUSTOM = "custom"
@@ -147,55 +145,6 @@ class RowMaximaStable(StoppingCriterion):
     @property
     def kind(self) -> StopKind:
         return StopKind.ROW_MAXIMA_STABLE
-
-
-class ArgmaxStable(StoppingCriterion):
-    """The decoded mapping (per-row argmax) unchanged for ``c`` iterations.
-
-    A discrete, float-robust reading of Eq. (12): once every task's most
-    likely resource has been the same for ``c`` consecutive iterations the
-    matrix has committed to one mapping, even if the probabilities are
-    still creeping towards 1 under smoothing.
-    """
-
-    def __init__(self, c: int = 10) -> None:
-        if c < 1:
-            raise ConfigurationError(f"c must be >= 1, got {c}")
-        self.c = c
-        self._prev: np.ndarray | None = None
-        self._stable = 0
-
-    def update(self, state: IterationState) -> bool:
-        decoded = state.matrix.row_argmax()
-        if self._prev is not None and np.array_equal(decoded, self._prev):
-            self._stable += 1
-        else:
-            self._stable = 0
-        self._prev = decoded
-        return self._stable >= self.c
-
-    def reset(self) -> None:
-        self._prev = None
-        self._stable = 0
-
-    def export_state(self) -> dict:
-        return {
-            "prev": None if self._prev is None else self._prev.tolist(),
-            "stable": self._stable,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        prev = state.get("prev")
-        self._prev = None if prev is None else np.asarray(prev, dtype=np.int64)
-        self._stable = int(state.get("stable", 0))
-
-    @property
-    def reason(self) -> str:
-        return f"decoded mapping stable for {self.c} iterations"
-
-    @property
-    def kind(self) -> StopKind:
-        return StopKind.ARGMAX_STABLE
 
 
 class GammaStagnation(StoppingCriterion):

@@ -1,16 +1,12 @@
-"""Scalar loop bodies of the hot kernels — the compiled backends' source.
+"""Scalar loop bodies of the hot kernels — the C backend's specification.
 
 Each function here is the *executable specification* of one kernel:
-plain-Python loops over flat arrays, written in the restricted style the
-numba ``nopython`` compiler accepts (no closures, no Python objects, no
-keyword tricks), so :mod:`repro.kernels.impl_numba` can compile these
-exact bodies with ``@njit(cache=True)`` and the C translation in
-``kernels.c`` can mirror them statement for statement. Running them
-uncompiled is slow but always available — the parity test matrix pins
-every backend (numpy vectorized, numba, C) against these loops
-bit-for-bit, which is what lets the numba backend ship untested-locally
-containers and still be trusted: it compiles the very bodies the suite
-verifies.
+plain-Python loops over flat arrays (no closures, no Python objects, no
+keyword tricks), so the C translation in ``kernels.c`` can mirror them
+statement for statement. Running them uncompiled is slow but always
+available — the parity test matrix pins both backends (numpy vectorized
+and C) against these loops bit-for-bit, so the C kernel is checked
+against the very bodies this module spells out.
 
 Bit-exactness rules (verified by ``tests/kernels/``):
 
@@ -18,8 +14,7 @@ Bit-exactness rules (verified by ``tests/kernels/``):
   (``bincount`` accumulates per bucket in input order; the three Eq. (1)
   terms combine as ``(proc + acc_s) + acc_b``);
 * every product is a single IEEE multiply — the C build disables FP
-  contraction (``-ffp-contract=off``) and numba's default
-  ``fastmath=False`` is IEEE-strict, so no backend fuses a
+  contraction (``-ffp-contract=off``), so no backend fuses a
   multiply-add the others do not;
 * GenPerm consumes pre-drawn uniforms only (the RNG never enters a
   kernel), so the stream position is backend-invariant by construction.
@@ -170,8 +165,9 @@ def genperm_loops(P_rows, row_offsets, task_orders, rand_pos, n_res):
 
 # The three probe kernels below inline the same O(deg) relocation update
 # (the body of ``IncrementalEvaluator._apply_move``) instead of sharing a
-# helper: numba compiles each function independently and the parity suite
-# pins all three against the evaluator, so the duplication cannot drift.
+# helper: the C translation mirrors each function on its own and the
+# parity suite pins all three against the evaluator, so the duplication
+# cannot drift.
 
 def move_cost_loops(exec_s, x, task, dest, W, w, ccm_flat, n_r, off, nbr, vol):
     """Eq. (2) cost if ``task`` moved to ``dest``; no state change."""

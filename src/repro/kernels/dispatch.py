@@ -1,17 +1,16 @@
 """Backend selection for the compiled kernel layer.
 
 One dispatch point decides, per process, which implementation of the hot
-kernels runs: ``numba`` (JIT of the spec loops), ``cext`` (the
-system-cc-compiled C translation), or ``numpy`` (the vectorized
-reference, always available). Selection:
+kernels runs: ``cext`` (the system-cc-compiled C translation of the spec
+loops) or ``numpy`` (the vectorized reference, always available).
+Selection:
 
 * ``REPRO_KERNEL`` environment variable or the CLI ``--kernel`` flag
   (which just sets the variable, so pool workers inherit it):
-  ``auto`` (default), ``numba``, ``cext``, ``numpy``.
-* ``auto`` tries ``numba -> cext -> numpy`` and *silently* falls back —
-  a missing optional dependency or an unusable compiler must never
-  change behaviour, only speed (every backend is bit-identical, see
-  :mod:`repro.kernels._loops`).
+  ``auto`` (default), ``cext``, ``numpy``.
+* ``auto`` tries ``cext -> numpy`` and *silently* falls back — an
+  unusable compiler must never change behaviour, only speed (both
+  backends are bit-identical, see :mod:`repro.kernels._loops`).
 * naming an unavailable backend explicitly raises
   :class:`~repro.exceptions.ConfigurationError` carrying the load
   error — an explicit request must not silently degrade.
@@ -43,10 +42,10 @@ __all__ = [
 ]
 
 #: Valid values for REPRO_KERNEL / --kernel.
-KERNEL_CHOICES = ("auto", "numba", "cext", "numpy")
+KERNEL_CHOICES = ("auto", "cext", "numpy")
 
 #: auto-resolution order: fastest first, numpy as the unconditional floor.
-_AUTO_ORDER = ("numba", "cext", "numpy")
+_AUTO_ORDER = ("cext", "numpy")
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,9 @@ def _numpy_backend() -> KernelBackend:
     )
 
 
-def _compiled_backend(name: str, impl: object) -> KernelBackend:
+def _cext_backend(impl: object) -> KernelBackend:
     return KernelBackend(
-        name=name,
+        name="cext",
         compiled=True,
         times_batch=impl.times_batch,
         eval_batch=impl.eval_batch,
@@ -107,11 +106,7 @@ def _load(name: str) -> KernelBackend | None:
         elif name == "cext":
             from repro.kernels import impl_cext
 
-            backend = _compiled_backend("cext", impl_cext.load())
-        elif name == "numba":
-            from repro.kernels import impl_numba
-
-            backend = _compiled_backend("numba", impl_numba.load())
+            backend = _cext_backend(impl_cext.load())
         else:
             raise ConfigurationError(
                 f"unknown kernel backend {name!r}; choices: {', '.join(KERNEL_CHOICES)}"

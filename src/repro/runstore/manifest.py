@@ -4,7 +4,8 @@ A manifest answers "what exactly produced these numbers?" — the question
 every cross-run comparison in this literature hinges on. It captures:
 
 * the code identity (git SHA + dirty flag, package version);
-* the host (platform, python, numpy, cpu count) and its *host class* — the
+* the host (platform, python, numpy, cpu count, cores available to the
+  process) and its *host class* — the
   coarse key perf-history comparisons are grouped under;
 * the full ``REPRO_*`` environment surface (kernel backend, worker count,
   retry policy, fault harness), so a run is replayable from its manifest
@@ -19,7 +20,6 @@ marker rather than failing the run being recorded.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import platform
 import subprocess
@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 import numpy as np
+
+from repro.utils.parallel import cpus_available
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -133,6 +135,7 @@ def host_info() -> dict[str, Any]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "cpus_available": cpus_available(),
         "host_class": host_class(),
     }
 

@@ -13,6 +13,11 @@ that speaks just enough HTTP for a curl / ``urllib`` client —
 One request per connection (``Connection: close``): the gateway's
 concurrency comes from the dispatcher's batching, not from connection
 reuse, and the dumbest possible wire loop is the easiest one to trust.
+Malformed HTTP — a bad request line, a header line without a colon or
+over the stream's 64 KiB line limit, a non-numeric or negative
+``Content-Length``, a body shorter than announced — gets a structured
+``400 {"error": {"kind": "bad-request", ...}}``; a ``Content-Length``
+over :data:`MAX_BODY_BYTES` gets ``413`` before any body is read.
 :func:`submit_over_http` is the matching blocking client used by the
 ``repro-match submit`` CLI and the CI trace replay.
 """
@@ -35,7 +40,31 @@ __all__ = ["start_http_server", "submit_over_http"]
 #: serving-scale requests use the compact generator spec instead).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 429: "Too Many Requests", 500: "Internal Server Error"}
+#: How long a rejected connection keeps reading (and discarding) input so
+#: the client sees the error instead of a reset.
+LINGER_SECONDS = 1.0
+
+_STATUS_TEXT = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    413: "Payload Too Large",
+    429: "Too Many Requests",
+    500: "Internal Server Error",
+}
+
+
+class _HttpError(Exception):
+    """A request the front rejects before routing: status, error kind, message."""
+
+    def __init__(self, status: int, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
+
+
+def _bad_request(message: str) -> _HttpError:
+    return _HttpError(400, "bad-request", message)
 
 
 def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
@@ -49,32 +78,57 @@ def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
     return head.encode("ascii") + body
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    # StreamReader.readline reports a line over the stream limit as a
+    # ValueError (it converts its own LimitOverrunError).
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise _bad_request(f"{what} too long: {exc}") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, bytes] | None:
-    """``(method, path, body)`` for one request, or None on EOF/overflow."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    """``(method, path, body)`` for one request, or None on an empty connection.
+
+    Raises :class:`_HttpError` for malformed or oversized requests.
+    """
+    request_line = await _read_line(reader, "request line")
+    if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise _bad_request(f"malformed request line {request_line[:200]!r}")
     method, path = parts[0].upper(), parts[1]
     content_length = 0
     while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
+        line = await _read_line(reader, "header line")
+        if not line:
+            raise _bad_request("connection closed inside the headers")
+        if line in (b"\r\n", b"\n"):
             break
-        name, _, value = line.decode("latin-1").partition(":")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise _bad_request(f"malformed header line {line[:200]!r}")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                return None
-    if content_length < 0 or content_length > MAX_BODY_BYTES:
-        return None
-    body = await reader.readexactly(content_length) if content_length else b""
+            raw = value.strip()
+            if not (raw.isascii() and raw.isdigit()):
+                raise _bad_request(f"malformed Content-Length {raw[:40]!r}")
+            # int() refuses strings of a few thousand digits; any length
+            # with more than 18 significant digits is over the cap anyway.
+            digits = raw.lstrip("0") or "0"
+            content_length = int(digits) if len(digits) <= 18 else MAX_BODY_BYTES + 1
+    if content_length > MAX_BODY_BYTES:
+        raise _HttpError(
+            413, "too-large", f"body of {content_length} bytes exceeds {MAX_BODY_BYTES}"
+        )
+    try:
+        body = await reader.readexactly(content_length) if content_length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise _bad_request(
+            f"body ended after {len(exc.partial)} of {content_length} bytes"
+        ) from None
     return method, path, body
 
 
@@ -84,21 +138,20 @@ async def _handle_connection(
     service: MappingService,
 ) -> None:
     try:
-        parsed = await _read_request(reader)
-        if parsed is None:
+        try:
+            parsed = await _read_request(reader)
+            if parsed is None:
+                return
+            out = await _route(service, *parsed)
+        except _HttpError as exc:
+            writer.write(
+                _response_bytes(exc.status, {"error": {"kind": exc.kind, "message": str(exc)}})
+            )
+            await _linger(reader, writer)
             return
-        method, path, body = parsed
-        if method == "GET" and path == "/healthz":
-            out = _response_bytes(200, {"ok": True})
-        elif method == "GET" and path == "/stats":
-            out = _response_bytes(200, service.stats())
-        elif method == "POST" and path == "/solve":
-            out = await _handle_solve(service, body)
-        else:
-            out = _response_bytes(404, {"error": f"no route for {method} {path}"})
         writer.write(out)
         await writer.drain()
-    except (ConnectionError, asyncio.IncompleteReadError):
+    except ConnectionError:
         pass
     finally:
         writer.close()
@@ -106,6 +159,37 @@ async def _handle_connection(
             await writer.wait_closed()
         except ConnectionError:
             pass
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Send the error, then discard input for up to ``LINGER_SECONDS``.
+
+    A rejected client may still be sending (the rest of an oversized body
+    or header line); closing with unread input resets the connection, and
+    the client would lose the answer before reading it.
+    """
+    await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(65536):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+
+
+async def _route(service: MappingService, method: str, path: str, body: bytes) -> bytes:
+    if method == "GET" and path == "/healthz":
+        return _response_bytes(200, {"ok": True})
+    if method == "GET" and path == "/stats":
+        return _response_bytes(200, service.stats())
+    if method == "POST" and path == "/solve":
+        return await _handle_solve(service, body)
+    return _response_bytes(404, {"error": f"no route for {method} {path}"})
 
 
 async def _handle_solve(service: MappingService, body: bytes) -> bytes:

@@ -47,6 +47,7 @@ __all__ = [
     "WorkerPool",
     "parallel_map",
     "default_worker_count",
+    "cpus_available",
     "RetryPolicy",
     "CellFailure",
     "SalvageReport",
@@ -56,10 +57,23 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def default_worker_count() -> int:
-    """The fabric-wide worker count: ``REPRO_WORKERS`` if set, else CPUs - 1.
+def cpus_available() -> int:
+    """Cores this process may run on: its CPU affinity set, else ``cpu_count``.
 
-    The environment override lets one shell line repin every sweep in a
+    A container pinned to a few cores still reports the whole machine in
+    ``os.cpu_count()``; sizing pools from that oversubscribes the pin.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform (macOS)
+        return os.cpu_count() or 1
+
+
+def default_worker_count() -> int:
+    """The fabric-wide worker count: ``REPRO_WORKERS`` if set, else cores - 1.
+
+    "Cores" is :func:`cpus_available`, not the machine's CPU count. The
+    environment override lets one shell line repin every sweep in a
     session (CI pins ``REPRO_WORKERS=2`` for determinism-under-parallelism
     tests; a dedicated box can claim every core). Always at least 1.
     """
@@ -74,7 +88,7 @@ def default_worker_count() -> int:
         if value < 1:
             raise ConfigurationError(f"REPRO_WORKERS must be >= 1, got {value}")
         return value
-    return max(1, (os.cpu_count() or 1) - 1)
+    return max(1, cpus_available() - 1)
 
 
 def _shutdown_executor(executor: ProcessPoolExecutor | None) -> None:

@@ -399,7 +399,7 @@ class TestKernelDiscipline:
 
             lib = ctypes.CDLL("libfoo.so")
         """
-        assert rules_hit(src, path="src/repro/kernels/impl_numba.py") == set()
+        assert rules_hit(src, path="src/repro/kernels/impl_cext.py") == set()
 
     def test_plain_ctypes_import_clean(self):
         # importing ctypes for struct layout is fine; only CDLL loads count

@@ -15,7 +15,7 @@ import pytest
 
 from repro.ce.multichain import MultiChainCE, MultiChainResult
 from repro.ce.optimizer import CEConfig, CEResult, CrossEntropyOptimizer
-from repro.ce.stopping import GammaStagnation, StopKind
+from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
 from repro.mapping import CostModel, MappingProblem
@@ -46,7 +46,6 @@ def run_sequential(model, problem, cfg, seed) -> CEResult:
         problem.n_tasks,
         problem.n_resources,
         cfg,
-        sampler="permutation",
         rng=seed,
     ).run()
 
@@ -102,41 +101,6 @@ class TestSeedForSeedParity:
             assert_chain_equals_sequential(chain, seq)
             assert chain.stop_kind == StopKind.BUDGET
             assert not chain.converged
-
-    def test_slow_path_with_extra_criteria_matches_sequential(self, model, problem):
-        # An extra_stopping_factory forces the per-chain (slow) stopping
-        # path; results must still match a sequential run with the same
-        # extra criterion.
-        cfg = config()
-        joint = run_joint(
-            model,
-            problem,
-            cfg,
-            SEEDS,
-            extra_stopping_factory=lambda: (GammaStagnation(4),),
-        )
-        for seed, chain in zip(SEEDS, joint.chains):
-            seq = CrossEntropyOptimizer(
-                model.evaluate_batch,
-                problem.n_tasks,
-                problem.n_resources,
-                cfg,
-                sampler="permutation",
-                rng=seed,
-                extra_stopping=(GammaStagnation(4),),
-            ).run()
-            assert_chain_equals_sequential(chain, seq)
-
-    def test_fast_and_slow_stopping_paths_agree(self, model, problem):
-        # A factory returning no criteria still disables the vectorized
-        # stopping fast path; both paths must produce identical chains.
-        cfg = config()
-        fast = run_joint(model, problem, cfg, SEEDS)
-        slow = run_joint(
-            model, problem, cfg, SEEDS, extra_stopping_factory=lambda: ()
-        )
-        for a, b in zip(fast.chains, slow.chains):
-            assert_chain_equals_sequential(a, b)
 
 
 class TestDedup:
@@ -203,4 +167,13 @@ class TestResultSurface:
         with pytest.raises(ConfigurationError):
             MultiChainCE(
                 model.evaluate_batch, 5, 4, config(), seeds=[1]
+            )
+
+    @pytest.mark.parametrize(
+        "keyword", ["sampler", "initial_matrix", "extra_stopping_factory"]
+    )
+    def test_removed_keywords_rejected(self, model, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            MultiChainCE(
+                model.evaluate_batch, 4, 4, config(), seeds=[1], **{keyword: None}
             )

@@ -8,7 +8,6 @@ import pytest
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.ce.stopping import (
     AnyOf,
-    ArgmaxStable,
     DegenerateMatrix,
     GammaStagnation,
     IterationState,
@@ -64,27 +63,6 @@ class TestRowMaximaStable:
 
     def test_reason(self):
         assert "Eq. 12" in RowMaximaStable(c=5).reason
-
-
-class TestArgmaxStable:
-    def test_fires_on_stable_decode(self):
-        crit = ArgmaxStable(c=2)
-        m = StochasticMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
-        m2 = StochasticMatrix(np.array([[0.7, 0.3], [0.2, 0.8]]))  # same argmax
-        assert not crit.update(state(1, 1.0, m))
-        assert not crit.update(state(2, 1.0, m2))
-        assert crit.update(state(3, 1.0, m))
-
-    def test_resets_on_decode_change(self):
-        crit = ArgmaxStable(c=1)
-        a = StochasticMatrix(np.array([[0.6, 0.4]]))
-        b = StochasticMatrix(np.array([[0.4, 0.6]]))
-        crit.update(state(1, 1.0, a))
-        assert not crit.update(state(2, 1.0, b))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ArgmaxStable(c=0)
 
 
 class TestGammaStagnation:
@@ -163,7 +141,6 @@ class TestStopKind:
     def test_builtin_criteria_report_their_kind(self):
         assert MaxIterations(1).kind == StopKind.BUDGET
         assert RowMaximaStable(2).kind == StopKind.ROW_MAXIMA_STABLE
-        assert ArgmaxStable(2).kind == StopKind.ARGMAX_STABLE
         assert GammaStagnation(2).kind == StopKind.GAMMA_STAGNATION
         assert DegenerateMatrix().kind == StopKind.DEGENERATE
 
@@ -197,7 +174,6 @@ class TestStopKind:
             3,
             3,
             CEConfig(n_samples=20, max_iterations=2, stability_window=50),
-            sampler="permutation",
             rng=0,
         ).run()
         assert result.stop_kind == StopKind.BUDGET
@@ -211,7 +187,6 @@ class TestStopKind:
             3,
             3,
             CEConfig(n_samples=60, max_iterations=200),
-            sampler="permutation",
             rng=0,
         ).run()
         assert result.stop_kind in (

@@ -1,11 +1,11 @@
 """Cross-backend bit-parity matrix.
 
-Every available backend (numpy always; cext when a C compiler exists;
-numba when installed) must produce *bit-identical* floats to the numpy
-reference on every kernel — scoring, GenPerm sampling, and the O(deg)
-probes. The numba source (:mod:`repro.kernels._loops`) is additionally
-executed as plain Python so its semantics are pinned even in
-environments where numba itself is absent.
+Every available backend (numpy always; cext when a C compiler exists)
+must produce *bit-identical* floats to the numpy reference on every
+kernel — scoring, GenPerm sampling, and the O(deg) probes. The spec
+loops the C kernel mirrors (:mod:`repro.kernels._loops`) are
+additionally executed as plain Python so their semantics are pinned
+against the same reference.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class TestProbeParity:
 
 
 class TestSpecLoopsAsPython:
-    """Run the numba source as plain Python against the numpy reference."""
+    """Run the spec loops as plain Python against the numpy reference."""
 
     def test_times_batch_loops(self):
         problem = make_problem(8, 5)

@@ -13,6 +13,7 @@ from repro.runstore import (
     build_manifest,
     env_surface,
     host_class,
+    host_info,
     pinned_env,
     problem_checksum,
 )
@@ -83,6 +84,14 @@ class TestProblemChecksum:
 
 
 class TestBuildManifest:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    def test_host_records_cores_available(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        host = host_info()
+        assert host["cpu_count"] == 64
+        assert host["cpus_available"] == 2
+
     def test_standard_sections_present(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         manifest = build_manifest(
@@ -96,8 +105,9 @@ class TestBuildManifest:
         assert manifest["rng"]["root_seed"] == 7
         assert manifest["env"]["REPRO_WORKERS"] == "3"
         assert manifest["workers"] == "3"
-        assert manifest["kernel_backend"] in ("numpy", "cext", "numba", "unresolved")
+        assert manifest["kernel_backend"] in ("numpy", "cext", "unresolved")
         assert manifest["host"]["host_class"] == host_class()
+        assert manifest["host"]["cpus_available"] >= 1
         assert set(manifest["retry"]) == {"max_retries", "cell_timeout"}
         assert manifest["solver"]["name"] == "match"
         assert manifest["problems"] == {"instance": "abc"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 
 import pytest
@@ -21,6 +22,7 @@ from repro.service import (
     start_http_server,
     submit_over_http,
 )
+from repro.service.http import MAX_BODY_BYTES
 
 
 def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
@@ -126,3 +128,86 @@ class TestHttp:
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1
+
+
+def _exchange(port: int, request_bytes: bytes) -> bytes:
+    """Send one raw request, half-close, and read the reply to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return reply
+            reply += data
+
+
+def _status_and_error(reply: bytes) -> tuple[int, dict]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
+
+
+class TestHttpBoundary:
+    """Malformed requests get a structured error reply, never silence."""
+
+    CASES = {
+        "bad-request-line": (b"GARBAGE\r\n\r\n", 400),
+        "missing-version": (b"GET /healthz\r\n\r\n", 400),
+        "header-without-colon": (b"GET /healthz HTTP/1.1\r\nHost x\r\n\r\n", 400),
+        "non-numeric-length": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400,
+        ),
+        "negative-length": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400,
+        ),
+        "non-ascii-digit-length": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n", 400,
+        ),
+        "header-line-over-64k": (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 400,
+        ),
+        "request-line-over-64k": (
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400,
+        ),
+        "headers-cut-short": (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", 400),
+        "body-shorter-than-length": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 400,
+        ),
+        "body-over-limit": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode()
+            + b"\r\n\r\n",
+            413,
+        ),
+        "length-of-5000-digits": (
+            b"POST /solve HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n", 413,
+        ),
+    }
+
+    def test_malformed_requests_get_structured_errors(self):
+        async def main():
+            async with MappingService(ServiceConfig(n_workers=1)) as service:
+                server = await start_http_server(service, host="127.0.0.1", port=0)
+                port = server.sockets[0].getsockname()[1]
+                loop = asyncio.get_running_loop()
+                replies = {}
+                for name, (raw, _) in self.CASES.items():
+                    replies[name] = await loop.run_in_executor(None, _exchange, port, raw)
+                # An empty connection gets no reply, and the server keeps serving.
+                replies["empty"] = await loop.run_in_executor(None, _exchange, port, b"")
+                replies["healthz"] = await loop.run_in_executor(
+                    None, _exchange, port, b"GET /healthz HTTP/1.1\r\n\r\n"
+                )
+                server.close()
+                await server.wait_closed()
+                return replies
+
+        replies = asyncio.run(main())
+        for name, (_, expected) in self.CASES.items():
+            status, error = _status_and_error(replies[name])
+            assert status == expected, (name, replies[name][:200])
+            assert error["kind"] == ("too-large" if expected == 413 else "bad-request")
+            assert error["message"], name
+        assert replies["empty"] == b""
+        assert replies["healthz"].startswith(b"HTTP/1.1 200")

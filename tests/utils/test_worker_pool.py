@@ -15,7 +15,7 @@ import signal
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError, WorkerPoolError
-from repro.utils.parallel import WorkerPool, default_worker_count
+from repro.utils.parallel import WorkerPool, cpus_available, default_worker_count
 
 
 def square(x: int) -> int:
@@ -64,6 +64,17 @@ class TestDefaultWorkerCount:
             assert pool.n_workers == 2
         finally:
             pool.close()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    @pytest.mark.parametrize(("pinned", "expected"), [(1, 1), (2, 1), (3, 2)])
+    def test_default_follows_cpu_affinity(self, monkeypatch, pinned, expected):
+        # A container pinned to fewer cores than the machine has: the
+        # default sizes from the pin, not from os.cpu_count().
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(pinned)))
+        assert cpus_available() == pinned
+        assert default_worker_count() == expected
 
 
 class TestWorkerPoolSerial:
