@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _check_entries(arr: np.ndarray, name: str) -> None:
+    """Reject what the roulette walk cannot sample from: NaN, inf, < 0."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    if (arr < 0).any():
+        raise ValidationError(f"{name} has negative entries")
+
+
 def _check_matrix(P: ProbabilityMatrix) -> np.ndarray:
     arr = np.asarray(P, dtype=np.float64)
     if arr.ndim != 2:
@@ -48,8 +56,7 @@ def _check_matrix(P: ProbabilityMatrix) -> np.ndarray:
         raise ValidationError(
             f"one-to-one sampling needs n_tasks <= n_resources, got shape {arr.shape}"
         )
-    if np.any(arr < 0):
-        raise ValidationError("P has negative entries")
+    _check_entries(arr, "P")
     return arr
 
 
@@ -65,8 +72,9 @@ def sample_permutations(
     Parameters
     ----------
     P:
-        ``(n_tasks, n_resources)`` non-negative matrix (rows need not be
-        exactly normalized; the masked renormalization handles it).
+        ``(n_tasks, n_resources)`` finite, non-negative matrix (rows need
+        not be exactly normalized; the masked renormalization handles
+        it). NaN, inf or negative entries raise :class:`ValidationError`.
     n_samples:
         Batch size ``N``.
     rng:
@@ -123,8 +131,8 @@ def sample_permutations_stacked(
     Parameters
     ----------
     P_stack:
-        ``(R, n_tasks, n_res)`` stack of non-negative matrices, one per
-        chain.
+        ``(R, n_tasks, n_res)`` stack of finite, non-negative matrices,
+        one per chain (checked like :func:`sample_permutations`'s ``P``).
     rand_orders:
         ``(R, N, n_tasks)`` uniforms; per chain, ``argsort`` of each row
         fixes that sample's task visit order (Fig. 4 step 1).
@@ -148,6 +156,7 @@ def sample_permutations_stacked(
         raise ValidationError(
             f"one-to-one sampling needs n_tasks <= n_resources, got {P_stack.shape}"
         )
+    _check_entries(P_stack, "P_stack")
     if rand_orders.shape[0] != R or rand_orders.shape[2] != n_tasks:
         raise ValidationError(
             f"rand_orders must have shape ({R}, N, {n_tasks}), got {rand_orders.shape}"

@@ -371,7 +371,9 @@ class IslandCoordinator:
                     owner.sock, {"type": "matrix-request", "agent": leader}
                 )
                 msg = self._expect(owner, "matrix")
-                leader_matrix = island_wire.decode_matrix(msg["matrix"])
+                leader_matrix = island_wire.decode_matrix(
+                    msg["matrix"], (self.problem.n_tasks, self.problem.n_resources)
+                )
                 break
             except _PeerLost as exc:
                 self._mark_dead(owner, r, exc.kind, str(exc))

@@ -124,7 +124,7 @@ class IslandWorker:
                         },
                     )
                 elif kind == "gossip":
-                    self._apply_gossip(sock, msg, chains, gossip_weight)
+                    self._apply_gossip(sock, msg, chains, gossip_weight, (n_t, n_r))
                 elif kind == "adopt":
                     self._adopt(
                         sock, msg, chains, problem, model, seed, n_agents,
@@ -200,10 +200,11 @@ class IslandWorker:
         msg: dict[str, Any],
         chains: dict[int, ChainState],
         gossip_weight: float,
+        shape: tuple[int, int],
     ) -> None:
         r = int(msg["round"])
         leader = int(msg["leader"])
-        leader_P = island_wire.decode_matrix(msg["matrix"])
+        leader_P = island_wire.decode_matrix(msg["matrix"], shape)
         for g in sorted(chains):
             state = chains[g]
             # Idempotent per agent: a re-broadcast after a mid-sync node
@@ -243,7 +244,9 @@ class IslandWorker:
             SyncRecord(
                 round=int(h["round"]),
                 leader=int(h["leader"]),
-                matrix=island_wire.decode_matrix(h["matrix"]),
+                matrix=island_wire.decode_matrix(
+                    h["matrix"], (problem.n_tasks, problem.n_resources)
+                ),
             )
             for h in msg.get("history", [])
         ]

@@ -19,13 +19,16 @@ Malformed traffic is rejected with a structured
 :class:`~repro.exceptions.FrameError` whose ``kind`` distinguishes a peer
 that died mid-frame (``truncated`` — the signal the coordinator's heal
 path reacts to) from an over-limit length prefix (``oversized``) and from
-undecodable bodies (``malformed``).
+undecodable bodies (``malformed``). A matrix that decodes but is not a
+stochastic matrix of the job's shape — another dtype, NaN, inf or
+negative entries — is ``malformed`` too.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import socket
 import struct
 from typing import Any
@@ -52,33 +55,51 @@ _LEN = struct.Struct("!I")
 
 
 def encode_matrix(arr: np.ndarray) -> dict[str, Any]:
-    """JSON-able, bit-exact encoding of a float64 array."""
-    contiguous = np.ascontiguousarray(arr, dtype=np.float64)
+    """JSON-able, bit-exact encoding of a float64 array (as ``"<f8"``)."""
+    contiguous = np.ascontiguousarray(arr, dtype="<f8")
     return {
-        "dtype": contiguous.dtype.str,
+        "dtype": "<f8",
         "shape": list(contiguous.shape),
         "data": base64.b64encode(contiguous.tobytes(order="C")).decode("ascii"),
     }
 
 
-def decode_matrix(payload: Any) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`; validates shape/size coherence."""
+def decode_matrix(payload: Any, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Inverse of :func:`encode_matrix`, for stochastic matrices.
+
+    The payload must be little-endian float64 (``"<f8"``, what
+    :func:`encode_matrix` writes) with finite, non-negative entries and a
+    byte count that matches its shape; when ``shape`` is given the decoded
+    shape must equal it. Every violation raises
+    ``FrameError("malformed")``.
+    """
     if not isinstance(payload, dict):
         raise FrameError("malformed", f"matrix payload must be an object, got {type(payload).__name__}")
     try:
-        dtype = np.dtype(payload["dtype"])
-        shape = tuple(int(s) for s in payload["shape"])
+        dtype = payload["dtype"]
+        got_shape = tuple(int(s) for s in payload["shape"])
         raw = base64.b64decode(payload["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError("malformed", f"undecodable matrix payload: {exc}") from exc
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
+    if dtype != "<f8":
+        raise FrameError("malformed", f"matrix dtype must be '<f8', got {dtype!r}")
+    if any(s < 0 for s in got_shape):
+        raise FrameError("malformed", f"matrix shape {got_shape} has a negative extent")
+    if shape is not None and got_shape != tuple(shape):
+        raise FrameError(
+            "malformed", f"matrix shape {got_shape} does not match the expected {tuple(shape)}"
+        )
+    expected = 8 * math.prod(got_shape)
     if len(raw) != expected:
         raise FrameError(
             "malformed",
-            f"matrix payload carries {len(raw)} bytes but shape {shape} "
-            f"({dtype}) needs {expected}",
+            f"matrix payload carries {len(raw)} bytes but shape {got_shape} "
+            f"(<f8) needs {expected}",
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    arr = np.frombuffer(raw, dtype="<f8").reshape(got_shape).copy()
+    if not np.isfinite(arr).all() or (arr < 0).any():
+        raise FrameError("malformed", "matrix has non-finite or negative entries")
+    return arr
 
 
 def send_frame(

@@ -1,8 +1,9 @@
 """Compiled kernel backends for the hot loops (DESIGN.md §11).
 
 Two interchangeable, bit-identical implementations of the library's
-three hot kernels — batched Eq. (1)/(2) scoring, the GenPerm position
-loop, and the O(deg) delta probes — behind one dispatch point:
+hot kernels — batched Eq. (1)/(2) scoring, the GenPerm position loop,
+the duplicate-row collapse before scoring, and the O(deg) delta
+probes — behind one dispatch point:
 
 * ``cext``: the spec loops of :mod:`repro.kernels._loops` translated to
   C and compiled on demand with the system C compiler (no extra Python

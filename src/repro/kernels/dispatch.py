@@ -57,6 +57,7 @@ class KernelBackend:
     times_batch: Callable
     eval_batch: Callable
     genperm: Callable
+    collapse_rows: Callable
     move_cost: Callable
     swap_cost: Callable
     swap_costs: Callable
@@ -69,6 +70,7 @@ def _numpy_backend() -> KernelBackend:
         times_batch=impl_numpy.times_batch,
         eval_batch=impl_numpy.eval_batch,
         genperm=impl_numpy.genperm,
+        collapse_rows=impl_numpy.collapse_rows,
         move_cost=impl_numpy.move_cost,
         swap_cost=impl_numpy.swap_cost,
         swap_costs=impl_numpy.swap_costs,
@@ -82,6 +84,7 @@ def _cext_backend(impl: object) -> KernelBackend:
         times_batch=impl.times_batch,
         eval_batch=impl.eval_batch,
         genperm=impl.genperm,
+        collapse_rows=impl.collapse_rows,
         move_cost=impl.move_cost,
         swap_cost=impl.swap_cost,
         swap_costs=impl.swap_costs,

@@ -111,6 +111,11 @@ def _bind(lib: ctypes.CDLL) -> None:
         _F64, _I64, _I64, _F64, _c_i64, _c_i64, _c_i64, _I64,
     ]
     lib.repro_genperm.restype = ctypes.c_int
+    lib.repro_collapse_rows.argtypes = [
+        _I64, _c_i64, _c_i64, _c_i64,  # X, N, n_cols, n_symbols
+        _I64, _I64, ctypes.POINTER(_c_i64),  # unique_rows, inverse, n_unique
+    ]
+    lib.repro_collapse_rows.restype = ctypes.c_int
     probe_head = [
         _F64, _I64, _c_i64, _c_i64,  # exec_s, x, n_t, n_r
         _F64, _F64, _F64,  # W, w, ccm_flat
@@ -184,6 +189,21 @@ class _CExtKernels:
             )
         )
         return X
+
+    def collapse_rows(
+        self, X: np.ndarray, n_symbols: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        X = np.ascontiguousarray(X, dtype=np.int64)
+        N, n_cols = X.shape
+        unique_rows = np.empty((N, n_cols), dtype=np.int64)
+        inverse = np.empty(N, dtype=np.int64)
+        n_unique = _c_i64()
+        self._check(
+            self._lib.repro_collapse_rows(
+                X, N, n_cols, n_symbols, unique_rows, inverse, ctypes.byref(n_unique)
+            )
+        )
+        return unique_rows[: n_unique.value], inverse
 
     def _probe_args(self, pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray):
         return (

@@ -1,14 +1,17 @@
 """The pure-numpy kernel backend — always available, the parity anchor.
 
 These are the vectorized implementations that previously lived inline in
-``mapping/cost_model.py`` (``bincount`` scatter-add batch scoring) and
-``ce/genperm.py`` (the column-major GenPerm position loop), moved behind
+``mapping/cost_model.py`` (``bincount`` scatter-add batch scoring),
+``ce/genperm.py`` (the column-major GenPerm position loop) and
+``utils/dedup.py`` (the packed-key duplicate-row collapse), moved behind
 the backend API unchanged so ``REPRO_KERNEL=numpy`` reproduces every
 historical result bit-for-bit. The compiled backends are tested against
 this module, not the other way around.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +21,9 @@ __all__ = [
     "times_batch",
     "eval_batch",
     "genperm",
+    "collapse_rows",
+    "pack_rows",
+    "pack_rows_words",
     "move_cost",
     "swap_cost",
     "swap_costs",
@@ -201,6 +207,85 @@ def _genperm_position_loop(
         if square:
             rem -= choice
     return X
+
+
+# -- Duplicate-row collapse --------------------------------------------------
+
+def pack_rows(X: np.ndarray, n_symbols: int) -> np.ndarray | None:
+    """Horner-pack each row of ``X`` into one int64 key, or None.
+
+    Keys are collision-free and ordered lexicographically when
+    ``n_cols · log2(n_symbols) ≤ 63``; returns None when the alphabet
+    overflows int64 (callers must fall back to row-wise comparison).
+    """
+    n_cols = X.shape[1]
+    if n_symbols < 2 or n_cols * math.log2(n_symbols) > 63:
+        return None
+    key = X[:, 0].astype(np.int64, copy=True)
+    for c in range(1, n_cols):
+        key *= n_symbols
+        key += X[:, c]
+    return key
+
+
+def pack_rows_words(X: np.ndarray, n_symbols: int) -> np.ndarray:
+    """Horner-pack each row of ``X`` into as few int64 words as fit.
+
+    Splits the columns into contiguous chunks of ``d`` symbols where ``d``
+    is the largest count with ``n_symbols**d`` still inside int64, and
+    packs each chunk exactly like :func:`pack_rows`. The resulting
+    ``(N, n_words)`` key matrix is collision-free, and comparing key rows
+    lexicographically equals comparing the original rows lexicographically
+    (each word is an order-preserving encoding of its column chunk).
+    """
+    n_cols = X.shape[1]
+    if n_symbols < 2:
+        raise ValueError(f"alphabet must have >= 2 symbols, got {n_symbols}")
+    cap = (1 << 63) - 1
+    digits = 1
+    while n_symbols ** (digits + 1) <= cap:
+        digits += 1
+    n_words = -(-n_cols // digits)
+    keys = np.empty((X.shape[0], n_words), dtype=np.int64)
+    for word in range(n_words):
+        lo = word * digits
+        hi = min(lo + digits, n_cols)
+        key = X[:, lo].astype(np.int64, copy=True)
+        for c in range(lo + 1, hi):
+            key *= n_symbols
+            key += X[:, c]
+        keys[:, word] = key
+    return keys
+
+
+def collapse_rows(X: np.ndarray, n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows of ``X`` in lexicographic order, and the inverse map.
+
+    One Horner key per row through :func:`numpy.unique` when the alphabet
+    fits 63 bits, else :func:`pack_rows_words` and one stable
+    :func:`numpy.lexsort` over the word columns. A one-symbol alphabet
+    packs like a two-symbol one.
+    """
+    n_symbols = max(int(n_symbols), 2)
+    key = pack_rows(X, n_symbols)
+    if key is not None:
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return X[first], inverse
+    N = X.shape[0]
+    if N == 0:
+        return X.copy(), np.empty(0, dtype=np.int64)
+    keys = pack_rows_words(X, n_symbols)
+    # lexsort's last key is primary, so feed the word columns reversed;
+    # the sort is stable, making order[flag] the first occurrence of each
+    # distinct row just as np.unique's stable path would pick.
+    order = np.lexsort(tuple(keys[:, w] for w in range(keys.shape[1] - 1, -1, -1)))
+    sorted_keys = keys[order]
+    flag = np.empty(N, dtype=bool)
+    flag[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=flag[1:])
+    inverse = np.empty(N, dtype=np.int64)
+    inverse[order] = np.cumsum(flag) - 1
+    return X[order[flag]], inverse
 
 
 # -- O(deg) delta probes -----------------------------------------------------

@@ -2,9 +2,11 @@
  *
  * Value-for-value translation of repro/kernels/_loops.py — see that
  * module's docstring for the bit-exactness contract. Loop structure may
- * differ where it buys instruction-level parallelism (the GenPerm
- * position loop interleaves four samples), but every per-sample float
- * operation sequence matches the reference exactly. The build
+ * differ where it buys speed (the GenPerm position loop interleaves
+ * eight samples and keeps its arrays position-major, see below), but
+ * every per-sample float operation sequence matches the reference
+ * exactly. The duplicate-row collapse has no float arithmetic; it
+ * matches the numpy backend's unique rows and inverse exactly. The build
  * (driven by impl_cext.py) uses `-O3 -ffp-contract=off` and no
  * -ffast-math: every float add/multiply must round exactly like the
  * numpy reference, so fused multiply-adds and reassociation are off the
@@ -103,153 +105,248 @@ int repro_eval_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
 
 /* ---------------- GenPerm position loop ---------------- */
 
-/* The reference loop walks ALL n_res resources per (sample, position)
- * cell, multiplying each row entry by a 0/1 mask. Two observations make
- * a compressed walk over only the still-unused resources value-identical:
+/* The walk is the reference's own: every (sample, position) cell adds
+ * row[i] * unused[i] over all n_res resources in ascending order, where
+ * unused is the sample's 0.0/1.0 mask, and the pick is the first index
+ * whose running sum exceeds the draw. Taking a resource is one store,
+ * unused[pick] = 0.0, so nothing after the pick branches on where it
+ * landed. (An earlier version walked a compressed list of the unused
+ * resources, K = n_res - pos entries, and removed each pick with a
+ * memmove whose size came out of the bisection; that size dispatch
+ * mispredicted late in the bisection's dependency chain, and with the
+ * list's index loads and gathers the shorter walk bought nothing.)
  *
- *   1. A masked entry contributes row[i]*0.0 == +0.0, and acc + 0.0 is a
- *      bitwise no-op (acc starts at +0.0 and only ever accumulates
- *      non-negative finite terms, so it is never -0.0). Dropping masked
- *      terms leaves every accumulator value — including the final mass —
- *      bit-identical. An unmasked entry contributes row[i]*1.0 == row[i]
- *      exactly.
- *   2. The reference picks the first index i with cdf[i] > u. The cdf
- *      only changes value at unused positions (masked positions replicate
- *      the previous value, and the all-masked prefix holds +0.0 <= u), so
- *      that first index is always an unused position: scanning the
- *      compressed cdf finds the identical choice.
- *
- * The dead-row fallback (uniform over unused: 1.0 increments at unused
- * positions) and the overflow clamp (resource n_res-1 if still unused,
- * else the first unused) translate the same way. Each sample therefore
- * keeps an ascending list of its unused resources; position `pos` walks
- * K = n_res - pos entries instead of n_res, halving the serial FP-add
- * chain work over the whole run. */
+ * LANES samples run interleaved as one group, so LANES independent
+ * FP-add chains are in flight while each sample's own adds stay in
+ * reference order. A group's masks and cdfs are lane-interleaved (entry
+ * i of lane s at [LANES*i + s]) so the group walks one pointer per
+ * array and the compiler can pack lanes into vector registers; packing
+ * changes no value, every lane still does one IEEE multiply and one add
+ * per entry in reference order (the build forbids contraction into
+ * fused multiply-adds). A batch whose size is not a multiple of LANES
+ * pads its last group with copies of its last sample: a copy repeats
+ * that sample's computation exactly. The task visit orders are
+ * transposed to position-major on entry and the picks kept
+ * position-major until one scatter into X at the end, so the position
+ * loop reads and writes contiguously instead of striding one row per
+ * sample through task_orders and X (at n = 50 those arrays outgrow the
+ * L2 cache and the stride cost a third of the kernel's time). */
 
-/* Everything after the compressed cumulative sum for one sample:
- * dead-row fallback, inverse-CDF scan, overflow clamp, and removal of
- * the chosen resource from the sample's unused list. Returns the chosen
- * resource id. */
-static i64 genperm_pick(double *cdf, int32_t *idx, i64 K, i64 n_res,
+#define LANES 8
+
+/* Dead-row fallback, inverse-CDF bisection and overflow clamp for one
+ * lane's cdf and mask (stride LANES). Returns the picked resource. */
+static i64 genperm_pick(double *cdf, const double *unused, i64 n_res,
                         double u01)
 {
-    double mass = cdf[K - 1];
+    double mass = cdf[LANES * (n_res - 1)];
     double u;
-    i64 k, choice;
+    i64 i;
     if (mass <= 0.0) {
         /* Dead row: uniform over the unused resources. */
         double acc = 0.0;
-        for (k = 0; k < K; k++) {
-            acc = acc + 1.0;
-            cdf[k] = acc;
+        for (i = 0; i < n_res; i++) {
+            acc = acc + unused[LANES * i];
+            cdf[LANES * i] = acc;
         }
-        mass = cdf[K - 1];
+        mass = acc;
     }
     u = u01 * mass;
     /* First index with cdf > u. The cdf is non-decreasing (non-negative
      * increments), so a branchless upper-bound bisection lands on the
-     * same index as the reference's linear scan in log2(K) compare steps
-     * with no data-dependent branch to mispredict. */
+     * same index as the reference's linear scan in log2(n_res) compare
+     * steps with no data-dependent branch to mispredict. A taken
+     * resource adds +0.0, so its cdf equals its predecessor's (or +0.0
+     * <= u at the front) and the first index past u is never taken. */
     {
-        i64 lo = 0, len = K;
+        i64 lo = 0, len = n_res;
         while (len > 1) {
             i64 half = len >> 1;
-            if (cdf[lo + half - 1] <= u)
+            if (cdf[LANES * (lo + half - 1)] <= u)
                 lo += half;
             len -= half;
         }
-        k = lo + (cdf[lo] <= u);
+        i = lo + (cdf[LANES * lo] <= u);
     }
-    if (k == K) {
+    if (i == n_res) {
         /* Overflow clamp; resource n_res-1 when still unused, else the
          * first unused resource. */
-        k = (idx[K - 1] == (int32_t)(n_res - 1)) ? K - 1 : 0;
+        i = n_res - 1;
+        if (unused[LANES * i] == 0.0)
+            for (i = 0; unused[LANES * i] == 0.0; i++)
+                ;
     }
-    choice = idx[k];
-    memmove(idx + k, idx + k + 1, (size_t)(K - 1 - k) * sizeof(int32_t));
-    return choice;
+    return i;
 }
 
 int repro_genperm(const double *P_rows, const i64 *row_offsets,
                   const i64 *task_orders, const double *rand_pos,
                   i64 B, i64 n_t, i64 n_res, i64 *X)
 {
-    int32_t *avail = malloc((size_t)(B * n_res) * sizeof(int32_t));
-    double *cdf = malloc((size_t)(4 * n_res) * sizeof(double));
-    i64 j, pos, i;
-    if (avail == NULL || cdf == NULL) {
-        free(avail);
+    const i64 G = (B + LANES - 1) / LANES, L = LANES * G;
+    /* Square batches skip the roulette at the last position: the one
+     * unused resource is forced (the reference's rem-sum shortcut). */
+    const i64 drawn = n_t == n_res ? n_t - 1 : n_t;
+    double *unused, *cdf;
+    int32_t *tasks, *picks;
+    i64 j, g, s, pos, i;
+    if (B == 0 || n_t == 0)
+        return 0;
+    unused = malloc((size_t)(L * n_res) * sizeof(double));
+    cdf = malloc((size_t)(LANES * n_res) * sizeof(double));
+    tasks = malloc((size_t)(L * n_t) * sizeof(int32_t));
+    picks = malloc((size_t)(L * n_t) * sizeof(int32_t));
+    if (unused == NULL || cdf == NULL || tasks == NULL || picks == NULL) {
+        free(unused);
         free(cdf);
+        free(tasks);
+        free(picks);
         return -1;
     }
-    for (j = 0; j < B; j++)
-        for (i = 0; i < n_res; i++)
-            avail[j * n_res + i] = (int32_t)i;
-    for (pos = 0; pos < n_t; pos++) {
-        const i64 K = n_res - pos;
-        const double *u_pos = rand_pos + pos * B;
-        if (K == 1) {
-            /* Square case, last position: the one unused resource is
-             * forced (the reference's rem-sum shortcut). */
-            for (j = 0; j < B; j++)
-                X[j * n_t + task_orders[j * n_t + pos]] = avail[j * n_res];
-            break;
-        }
-        /* The compressed cumulative sum is a loop-carried float
-         * dependency chain (K serial adds per sample) and is what bounds
-         * this kernel. Samples are independent, so four run interleaved:
-         * four accumulator chains in flight hide the FP add latency while
-         * each sample's own adds stay in reference order. */
-        j = 0;
-        for (; j + 4 <= B; j += 4) {
-            i64 t0 = task_orders[(j + 0) * n_t + pos];
-            i64 t1 = task_orders[(j + 1) * n_t + pos];
-            i64 t2 = task_orders[(j + 2) * n_t + pos];
-            i64 t3 = task_orders[(j + 3) * n_t + pos];
-            const double *r0 = P_rows + (row_offsets[j + 0] + t0) * n_res;
-            const double *r1 = P_rows + (row_offsets[j + 1] + t1) * n_res;
-            const double *r2 = P_rows + (row_offsets[j + 2] + t2) * n_res;
-            const double *r3 = P_rows + (row_offsets[j + 3] + t3) * n_res;
-            int32_t *i0 = avail + (j + 0) * n_res;
-            int32_t *i1 = avail + (j + 1) * n_res;
-            int32_t *i2 = avail + (j + 2) * n_res;
-            int32_t *i3 = avail + (j + 3) * n_res;
-            double *c0 = cdf;
-            double *c1 = cdf + n_res;
-            double *c2 = cdf + 2 * n_res;
-            double *c3 = cdf + 3 * n_res;
-            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            i64 k;
-            for (k = 0; k < K; k++) {
-                a0 = a0 + r0[i0[k]];
-                c0[k] = a0;
-                a1 = a1 + r1[i1[k]];
-                c1[k] = a1;
-                a2 = a2 + r2[i2[k]];
-                c2[k] = a2;
-                a3 = a3 + r3[i3[k]];
-                c3[k] = a3;
+    for (j = 0; j < L * n_res; j++)
+        unused[j] = 1.0;
+    for (j = 0; j < L; j++) {
+        const i64 *order = task_orders + (j < B ? j : B - 1) * n_t;
+        for (pos = 0; pos < n_t; pos++)
+            tasks[pos * L + j] = (int32_t)order[pos];
+    }
+    for (pos = 0; pos < drawn; pos++) {
+        const int32_t *task = tasks + pos * L;
+        int32_t *pick = picks + pos * L;
+        for (g = 0; g < G; g++) {
+            double *mask = unused + g * LANES * n_res;
+            const double *row[LANES];
+            double acc[LANES];
+            i64 src[LANES];
+            for (s = 0; s < LANES; s++) {
+                src[s] = LANES * g + s < B ? LANES * g + s : B - 1;
+                row[s] = P_rows + (row_offsets[src[s]] + task[LANES * g + s]) * n_res;
+                acc[s] = 0.0;
             }
-            X[(j + 0) * n_t + t0] = genperm_pick(c0, i0, K, n_res, u_pos[j + 0]);
-            X[(j + 1) * n_t + t1] = genperm_pick(c1, i1, K, n_res, u_pos[j + 1]);
-            X[(j + 2) * n_t + t2] = genperm_pick(c2, i2, K, n_res, u_pos[j + 2]);
-            X[(j + 3) * n_t + t3] = genperm_pick(c3, i3, K, n_res, u_pos[j + 3]);
-        }
-        for (; j < B; j++) {
-            i64 task = task_orders[j * n_t + pos];
-            const double *row = P_rows + (row_offsets[j] + task) * n_res;
-            int32_t *idx = avail + j * n_res;
-            double acc = 0.0;
-            i64 k;
-            for (k = 0; k < K; k++) {
-                acc = acc + row[idx[k]];
-                cdf[k] = acc;
+            for (i = 0; i < n_res; i++)
+                for (s = 0; s < LANES; s++) {
+                    acc[s] = acc[s] + row[s][i] * mask[LANES * i + s];
+                    cdf[LANES * i + s] = acc[s];
+                }
+            for (s = 0; s < LANES; s++) {
+                i = genperm_pick(cdf + s, mask + s, n_res,
+                                 rand_pos[pos * B + src[s]]);
+                mask[LANES * i + s] = 0.0;
+                pick[LANES * g + s] = (int32_t)i;
             }
-            X[j * n_t + task] = genperm_pick(cdf, idx, K, n_res, u_pos[j]);
         }
     }
-    free(avail);
+    if (drawn < n_t) {
+        int32_t *pick = picks + drawn * L;
+        for (j = 0; j < L; j++) {
+            const double *mask = unused + (j / LANES) * LANES * n_res + j % LANES;
+            for (i = 0; mask[LANES * i] == 0.0; i++)
+                ;
+            pick[j] = (int32_t)i;
+        }
+    }
+    for (j = 0; j < B; j++)
+        for (pos = 0; pos < n_t; pos++)
+            X[j * n_t + task_orders[j * n_t + pos]] = picks[pos * L + j];
+    free(unused);
     free(cdf);
+    free(tasks);
+    free(picks);
+    return 0;
+}
+
+/* ---------------- Duplicate-row collapse ---------------- */
+
+/* Rows compare as their Horner-packed key words (as many int64-range
+ * words as the alphabet needs, like impl_numpy.py's pack_rows_words),
+ * which order exactly like the rows themselves. */
+static int row_before(const uint64_t *keys, i64 n_words, i64 a, i64 b)
+{
+    const uint64_t *ka = keys + a * n_words;
+    const uint64_t *kb = keys + b * n_words;
+    i64 w;
+    for (w = 0; w < n_words; w++)
+        if (ka[w] != kb[w])
+            return ka[w] < kb[w];
+    return a < b;
+}
+
+/* Unique rows of X (N x n_cols, entries in [0, n_symbols)) in
+ * lexicographic order, and inverse[i] = the unique row equal to row i.
+ * A one-symbol alphabet packs like a two-symbol one.
+ * unique_rows needs room for N rows; *n_unique receives the count. A
+ * bottom-up merge sort orders row indices by key (ties by index, so the
+ * first occurrence leads each run of equal rows). */
+int repro_collapse_rows(const i64 *X, i64 N, i64 n_cols, i64 n_symbols,
+                        i64 *unique_rows, i64 *inverse, i64 *n_unique)
+{
+    i64 digits = 1, n_words, span = n_symbols, i, w, c, width, u;
+    uint64_t *keys;
+    i64 *order, *tmp;
+    *n_unique = 0;
+    if (N == 0)
+        return 0;
+    if (n_symbols < 2)
+        n_symbols = span = 2;
+    while (span <= INT64_MAX / n_symbols) {
+        span *= n_symbols;
+        digits++;
+    }
+    n_words = (n_cols + digits - 1) / digits;
+    keys = malloc((size_t)(N * n_words) * sizeof(uint64_t));
+    order = malloc((size_t)N * sizeof(i64));
+    tmp = malloc((size_t)N * sizeof(i64));
+    if (keys == NULL || order == NULL || tmp == NULL) {
+        free(keys);
+        free(order);
+        free(tmp);
+        return -1;
+    }
+    for (i = 0; i < N; i++) {
+        const i64 *row = X + i * n_cols;
+        for (w = 0; w < n_words; w++) {
+            i64 lo = w * digits;
+            i64 hi = lo + digits < n_cols ? lo + digits : n_cols;
+            uint64_t key = (uint64_t)row[lo];
+            for (c = lo + 1; c < hi; c++)
+                key = key * (uint64_t)n_symbols + (uint64_t)row[c];
+            keys[i * n_words + w] = key;
+        }
+        order[i] = i;
+    }
+    for (width = 1; width < N; width *= 2) {
+        i64 lo, *swap;
+        for (lo = 0; lo < N; lo += 2 * width) {
+            i64 mid = lo + width < N ? lo + width : N;
+            i64 hi = lo + 2 * width < N ? lo + 2 * width : N;
+            i64 a = lo, b = mid, o = lo;
+            while (a < mid && b < hi)
+                tmp[o++] = row_before(keys, n_words, order[b], order[a])
+                               ? order[b++] : order[a++];
+            while (a < mid)
+                tmp[o++] = order[a++];
+            while (b < hi)
+                tmp[o++] = order[b++];
+        }
+        swap = order;
+        order = tmp;
+        tmp = swap;
+    }
+    u = -1;
+    for (i = 0; i < N; i++) {
+        i64 r = order[i];
+        if (i == 0 || memcmp(keys + r * n_words, keys + order[i - 1] * n_words,
+                             (size_t)n_words * sizeof(uint64_t)) != 0) {
+            u++;
+            memcpy(unique_rows + u * n_cols, X + r * n_cols,
+                   (size_t)n_cols * sizeof(i64));
+        }
+        inverse[r] = u;
+    }
+    *n_unique = u + 1;
+    free(keys);
+    free(order);
+    free(tmp);
     return 0;
 }
 

@@ -8,72 +8,28 @@ costs back to the full batch. Because every objective in this repo is a
 pure row-wise function, scoring the unique rows and gathering through the
 inverse is *exact* — bit-identical to scoring the full batch.
 
-When the row alphabet fits in 63 bits (``n_cols · log2(n_symbols) ≤ 63``)
-each row is packed into a single int64 key by Horner's rule and deduped
-with a 1-D :func:`numpy.unique` — roughly an order of magnitude faster
-than ``np.unique(X, axis=0)``. Wider alphabets split the row into a few
-int64 *words* (:func:`pack_rows_words`) and dedup with one stable
-:func:`numpy.lexsort` over the word columns; both paths return the
-unique rows in numeric-lexicographic row order. The void-view
-``np.unique(X, axis=0)`` fallback was retired: at ``n = 50`` its
-byte-comparison argsort dominated the whole CE iteration.
+The collapse is a kernel operation (DESIGN.md §11): it runs on the
+process-active backend of :mod:`repro.kernels`. Both backends pack each
+row by Horner's rule into order-preserving int64 key words
+(:func:`pack_rows` when one word holds the whole row,
+:func:`pack_rows_words` otherwise). The numpy backend dedups the keys
+with :func:`numpy.unique` or one stable :func:`numpy.lexsort`; the C
+backend merge-sorts them and writes the unique rows and the inverse
+itself. Both return the unique rows in lexicographic row order with the
+same inverse, so a caller that scores only a prefix of the unique rows
+(a capped budget) scores the same rows under either backend.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import kernels
+from repro.kernels.impl_numpy import pack_rows, pack_rows_words
+
 __all__ = ["pack_rows", "pack_rows_words", "collapse_duplicate_rows", "DedupStats"]
-
-
-def pack_rows(X: np.ndarray, n_symbols: int) -> np.ndarray | None:
-    """Horner-pack each row of ``X`` into one int64 key, or None.
-
-    Keys are collision-free and ordered lexicographically when
-    ``n_cols · log2(n_symbols) ≤ 63``; returns None when the alphabet
-    overflows int64 (callers must fall back to row-wise comparison).
-    """
-    n_cols = X.shape[1]
-    if n_symbols < 2 or n_cols * math.log2(n_symbols) > 63:
-        return None
-    key = X[:, 0].astype(np.int64, copy=True)
-    for c in range(1, n_cols):
-        key *= n_symbols
-        key += X[:, c]
-    return key
-
-
-def pack_rows_words(X: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Horner-pack each row of ``X`` into as few int64 words as fit.
-
-    Splits the columns into contiguous chunks of ``d`` symbols where ``d``
-    is the largest count with ``n_symbols**d`` still inside int64, and
-    packs each chunk exactly like :func:`pack_rows`. The resulting
-    ``(N, n_words)`` key matrix is collision-free, and comparing key rows
-    lexicographically equals comparing the original rows lexicographically
-    (each word is an order-preserving encoding of its column chunk).
-    """
-    n_cols = X.shape[1]
-    if n_symbols < 2:
-        raise ValueError(f"alphabet must have >= 2 symbols, got {n_symbols}")
-    cap = (1 << 63) - 1
-    digits = 1
-    while n_symbols ** (digits + 1) <= cap:
-        digits += 1
-    n_words = -(-n_cols // digits)
-    keys = np.empty((X.shape[0], n_words), dtype=np.int64)
-    for word in range(n_words):
-        lo = word * digits
-        hi = min(lo + digits, n_cols)
-        key = X[:, lo].astype(np.int64, copy=True)
-        for c in range(lo + 1, hi):
-            key *= n_symbols
-            key += X[:, c]
-        keys[:, word] = key
-    return keys
 
 
 def collapse_duplicate_rows(
@@ -87,7 +43,8 @@ def collapse_duplicate_rows(
         ``(N, n_cols)`` integer batch with entries in ``[0, n_symbols)``.
     n_symbols:
         Alphabet size (number of resources); bounds the per-entry values
-        and decides whether the packed-key fast path is applicable.
+        and sets how many columns one packed key word holds. A
+        one-symbol alphabet packs like a two-symbol one.
 
     Returns
     -------
@@ -96,25 +53,7 @@ def collapse_duplicate_rows(
     row-for-row; the unique rows come out in lexicographic row order.
     ``U == N`` when all rows are distinct.
     """
-    key = pack_rows(X, n_symbols)
-    if key is not None:
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return X[first], inverse
-    N = X.shape[0]
-    if N == 0:
-        return X.copy(), np.empty(0, dtype=np.int64)
-    keys = pack_rows_words(X, n_symbols)
-    # lexsort's last key is primary, so feed the word columns reversed;
-    # the sort is stable, making order[flag] the first occurrence of each
-    # distinct row just as np.unique's stable path would pick.
-    order = np.lexsort(tuple(keys[:, w] for w in range(keys.shape[1] - 1, -1, -1)))
-    sorted_keys = keys[order]
-    flag = np.empty(N, dtype=bool)
-    flag[0] = True
-    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=flag[1:])
-    inverse = np.empty(N, dtype=np.int64)
-    inverse[order] = np.cumsum(flag) - 1
-    return X[order[flag]], inverse
+    return kernels.get_backend().collapse_rows(X, n_symbols)
 
 
 @dataclass

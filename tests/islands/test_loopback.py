@@ -196,3 +196,36 @@ class TestNodeLossHealing:
         assert_parity(result, reference)
         assert result["extras"]["node_failures"] == 2
         assert result["extras"]["finished_locally"] is True
+
+    def test_wrong_shape_leader_matrix_is_a_dead_node(self, monkeypatch, tmp_path):
+        """Islands whose matrix replies have the wrong shape are treated
+        as dead at the first sync: the coordinator replays their chains
+        and still returns the sequential bytes."""
+        import types
+
+        import repro.islands.island as island_module
+        from repro.islands import wire
+
+        rogue = types.SimpleNamespace(**vars(wire))
+        rogue.encode_matrix = lambda arr: wire.encode_matrix(arr[:-1])
+        monkeypatch.setattr(island_module, "island_wire", rogue)
+
+        problem = make_problem()
+        reference = sequential(problem, 7)
+        store = RunStore(tmp_path)
+        run = store.start_run("islands-test")
+        coordinator = IslandCoordinator(
+            problem, CONFIG, seed=7, n_islands=2, heartbeat_timeout=20.0, run=run
+        )
+        threads = [
+            spawn_island(coordinator.address, name=f"rogue-{i}") for i in range(2)
+        ]
+        result = coordinator.run()
+        run.finalize(status="complete")
+        for t in threads:
+            t.join(timeout=10.0)
+        assert_parity(result, reference)
+        lost = [e for e in store.read_events(run.run_id) if e.get("event") == "node-lost"]
+        assert lost[0]["round"] == CONFIG.sync_every
+        assert "matrix request failed" in lost[0]["message"]
+        assert "does not match the expected (8, 8)" in lost[0]["message"]

@@ -68,7 +68,7 @@ class TestMatrixCodec:
 
     def test_round_trip_over_socket(self):
         rng = np.random.default_rng(11)
-        arr = rng.standard_normal((6, 6))
+        arr = rng.random((6, 6))
         a, b = pipe()
         with a, b:
             wire.send_frame(a, {"m": wire.encode_matrix(arr)})
@@ -139,6 +139,50 @@ class TestDefectiveTraffic:
             a.sendall(struct.pack("!I", len(body)) + body)
             with pytest.raises(FrameError) as exc:
                 wire.recv_frame(b)
+        assert exc.value.kind == "malformed"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dtype": "|O", "shape": [1], "data": "AAAAAAAAAAA="},
+            {"dtype": "<i8", "shape": [1], "data": "AAAAAAAAAAA="},
+            {"dtype": "<f4", "shape": [2], "data": "AAAAAAAAAAA="},
+            {"dtype": ">f8", "shape": [1], "data": "AAAAAAAAAAA="},
+            {"dtype": ["<f8"], "shape": [1], "data": "AAAAAAAAAAA="},
+            {"dtype": "<f8", "shape": [-1, -1], "data": "AAAAAAAAAAA="},
+        ],
+        ids=["object", "int64", "float32", "big-endian", "dtype-list", "negative-extent"],
+    )
+    def test_non_f8_matrices_are_malformed(self, payload):
+        with pytest.raises(FrameError) as exc:
+            wire.decode_matrix(payload)
+        assert exc.value.kind == "malformed"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_non_finite_or_negative_matrices_are_malformed(self, bad):
+        arr = np.full((3, 3), 1.0 / 3.0)
+        arr[1, 2] = bad
+        with pytest.raises(FrameError) as exc:
+            wire.decode_matrix(wire.encode_matrix(arr))
+        assert exc.value.kind == "malformed"
+
+    def test_expected_shape_is_enforced(self):
+        payload = wire.encode_matrix(np.full((2, 3), 0.5))
+        assert wire.decode_matrix(payload, (2, 3)).shape == (2, 3)
+        for shape in [(3, 2), (6,), (2, 3, 1)]:
+            with pytest.raises(FrameError) as exc:
+                wire.decode_matrix(payload, shape)
+            assert exc.value.kind == "malformed"
+
+    def test_island_rejects_wrong_shape_leader_matrix(self):
+        # The gossip handler decodes the leader matrix against the job's
+        # (n_tasks, n_resources) before it touches any chain or socket.
+        from repro.islands.island import IslandWorker
+
+        island = IslandWorker(("127.0.0.1", 0))
+        msg = {"round": 1, "leader": 0, "matrix": wire.encode_matrix(np.full((2, 2), 0.5))}
+        with pytest.raises(FrameError) as exc:
+            island._apply_gossip(None, msg, {}, 0.5, (3, 3))
         assert exc.value.kind == "malformed"
 
     def test_fuzz_random_bytes_never_raise_unstructured(self):

@@ -15,9 +15,11 @@ import pytest
 
 from repro import kernels
 from repro.ce.genperm import sample_permutations, sample_permutations_stacked
+from repro.exceptions import ValidationError
 from repro.kernels import _loops, build_pack, impl_numpy
 from repro.mapping import CostModel
 from repro.mapping.incremental import IncrementalEvaluator
+from repro.utils.dedup import collapse_duplicate_rows
 
 from tests.kernels.conftest import AVAILABLE, make_problem, random_batch
 
@@ -77,10 +79,63 @@ class TestGenPermParity:
         # valid one-to-one mappings
         assert all(len(set(row)) == n for row in got.tolist())
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("n,seed", [(24, 3), (30, 4), (50, 6)])
+    def test_single_matrix_large(self, backend, n, seed, degenerate):
+        P, orders, pos = genperm_inputs(n, n, 2 * n + 1, seed, degenerate=degenerate)
+        got = backend.genperm(P, None, orders, pos, n)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, n))
+        assert all(len(set(row)) == n for row in got.tolist())
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 5, 7, 8, 9, 16, 17])
+    def test_batch_sizes(self, backend, n_samples):
+        # The C kernel runs samples in groups of eight; a batch size that
+        # leaves a partial last group must give the reference rows.
+        P, orders, pos = genperm_inputs(9, 9, n_samples, 13)
+        got = backend.genperm(P, None, orders, pos, 9)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 9))
+
     def test_rectangular(self, backend):
         P, orders, pos = genperm_inputs(5, 8, 20, 2)
         got = backend.genperm(P, None, orders, pos, 8)
         assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 8))
+
+    @pytest.mark.parametrize("n_tasks,n_res", [(1, 7), (20, 30), (29, 30), (30, 50)])
+    def test_rectangular_wide(self, backend, n_tasks, n_res):
+        P, orders, pos = genperm_inputs(n_tasks, n_res, 21, 2)
+        got = backend.genperm(P, None, orders, pos, n_res)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, n_res))
+        assert all(len(set(row)) == n_tasks for row in got.tolist())
+
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_dead_rows(self, backend, n):
+        # Zero-mass rows fall back to uniform over the unused resources.
+        P, orders, pos = genperm_inputs(n, n, 23, 8)
+        P[1] = 0.0
+        P[n - 1] = 0.0
+        P[2, : n // 2] = 0.0
+        got = backend.genperm(P, None, orders, pos, n)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, n))
+
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_overflow_clamp(self, backend, n):
+        # A draw of exactly 1.0 lands past the total mass: the clamp picks
+        # the last resource while it is unused, else the first unused one.
+        P, orders, pos = genperm_inputs(n, n, 19, 9)
+        pos[:, ::2] = 1.0
+        pos[n // 2] = 1.0
+        got = backend.genperm(P, None, orders, pos, n)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, n))
+        assert all(len(set(row)) == n for row in got.tolist())
+
+    def test_spec_loops_agree_at_n24(self):
+        P, orders, pos = genperm_inputs(24, 24, 7, 21)
+        pos[:, 3] = 1.0
+        offsets = np.zeros(7, dtype=np.int64)
+        assert np.array_equal(
+            _loops.genperm_loops(P, offsets, orders, pos, 24),
+            impl_numpy.genperm(P, None, orders, pos, 24),
+        )
 
     def test_stacked_offsets(self, backend):
         R, n, N = 3, 6, 15
@@ -101,6 +156,80 @@ class TestGenPermParity:
         with kernels.use_backend("numpy"):
             ref = sample_permutations(P, 40, rng=123)
         assert np.array_equal(got, ref)
+
+
+class TestGenPermInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_single_matrix_rejects(self, backend, bad):
+        P = np.full((6, 6), 1.0 / 6.0)
+        P[3, 2] = bad
+        with pytest.raises(ValidationError):
+            sample_permutations(P, 10, rng=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_stacked_rejects(self, backend, bad):
+        gen = np.random.default_rng(1)
+        P_stack = gen.random((2, 5, 5))
+        P_stack[1, 4, 0] = bad
+        with pytest.raises(ValidationError):
+            sample_permutations_stacked(P_stack, gen.random((2, 7, 5)), gen.random((2, 5, 7)))
+
+    def test_negative_zero_is_accepted(self, backend):
+        P = np.full((4, 4), 0.25)
+        P[0, 1] = -0.0
+        X = sample_permutations(P, 12, rng=3)
+        assert all(len(set(row)) == 4 for row in X.tolist())
+
+
+def duplicate_heavy_batch(n: int, n_rows: int, seed: int) -> np.ndarray:
+    """Sampled mappings from a sharp matrix: many exact duplicates."""
+    if n_rows == 0:
+        return np.empty((0, n), dtype=np.int64)
+    gen = np.random.default_rng(seed)
+    P = np.full((n, n), 0.02 / n)
+    P[np.arange(n), gen.permutation(n)] += 1.0
+    return sample_permutations(P, n_rows, rng=gen)
+
+
+class TestCollapseParity:
+    @pytest.mark.parametrize("n", [10, 16, 30, 50])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 97, 600])
+    def test_bit_identical(self, backend, n, n_rows):
+        X = duplicate_heavy_batch(n, n_rows, n + n_rows)
+        unique_rows, inverse = backend.collapse_rows(X, n)
+        ref_rows, ref_inverse = impl_numpy.collapse_rows(X, n)
+        assert unique_rows.shape == ref_rows.shape
+        assert np.array_equal(unique_rows, ref_rows)
+        assert np.array_equal(inverse, ref_inverse)
+        assert np.array_equal(unique_rows[inverse], X)
+
+    @pytest.mark.parametrize("n", [10, 16, 30, 50])
+    def test_lexicographic_order(self, backend, n):
+        X = np.concatenate(
+            [duplicate_heavy_batch(n, 300, n), sample_permutations(np.ones((n, n)), 300, rng=n)]
+        )
+        unique_rows, _ = backend.collapse_rows(X, n)
+        expected = sorted(set(map(tuple, X.tolist())))
+        assert [tuple(row) for row in unique_rows.tolist()] == expected
+
+    @pytest.mark.parametrize("n", [10, 16, 30, 50])
+    def test_all_rows_duplicate(self, backend, n):
+        X = np.tile(np.random.default_rng(n).permutation(n), (40, 1))
+        unique_rows, inverse = backend.collapse_rows(X, n)
+        assert np.array_equal(unique_rows, X[:1])
+        assert np.array_equal(inverse, np.zeros(40, dtype=np.int64))
+
+    def test_dispatch_follows_backend(self, backend):
+        X = duplicate_heavy_batch(30, 200, 5)
+        got = collapse_duplicate_rows(X, 30)
+        with kernels.use_backend("numpy"):
+            ref = collapse_duplicate_rows(X, 30)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_one_symbol_alphabet(self, backend):
+        unique_rows, inverse = collapse_duplicate_rows(np.zeros((5, 1), dtype=np.int64), 1)
+        assert unique_rows.tolist() == [[0]]
+        assert inverse.tolist() == [0] * 5
 
 
 class TestProbeParity:
