@@ -27,6 +27,7 @@ from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.mapping.cost_model import CostModel
 from repro.mapping.mapping import Mapping
 from repro.mapping.problem import MappingProblem
@@ -105,6 +106,11 @@ class _LegacySolveAdapter(MapperSolver):
     ``(assignment, n_evaluations, extras)`` triple is passed through
     untouched. No mid-run checkpointing is possible at this granularity —
     ``export_state`` keeps the loud :class:`CheckpointError` default.
+
+    Nor can such a step honour a limited budget: ``_solve`` runs to
+    completion before anything is charged, so an evaluation cap, a time
+    limit or a target cost would be overshot silently. ``start`` refuses
+    a ``budget.limited`` budget with :class:`ConfigurationError` instead.
     """
 
     def __init__(self, mapper: "Mapper") -> None:
@@ -116,6 +122,11 @@ class _LegacySolveAdapter(MapperSolver):
         self._done = False
 
     def start(self, problem: MappingProblem, seed: SeedLike) -> None:
+        if self.budget.limited:
+            raise ConfigurationError(
+                f"{self.mapper.name} runs as one opaque step and cannot honour "
+                "a limited budget (max_evaluations / max_seconds / target_cost)"
+            )
         self._problem = problem
         self._seed = seed
         self._output = None

@@ -5,11 +5,13 @@ Contents:
 * :class:`StochasticMatrix` and the Eq. (11)/(13) update machinery;
 * :func:`sample_permutations` — the batched GenPerm sampler (Fig. 4), the
   only sampler: every candidate is a valid one-to-one mapping;
-* elite quantile selection, the Eq. (12)/Fig. 2 stopping criteria, and
-  :class:`CrossEntropyOptimizer` (Fig. 5 steps 2-8) over a task ×
-  resource matrix;
-* :class:`MultiChainCE` — R independent chains advanced as one batched
-  tensor loop, seed-for-seed equal to R sequential runs.
+* elite quantile selection;
+* :func:`ce_iteration` — the one CE iteration (Fig. 5 steps 2-7: sample,
+  score, select elites, update, test the Eq. (12)/Fig. 2 stopping rules)
+  over R chains stacked as one tensor, and the two engines that run it:
+  :class:`MultiChainCE` (R independent chains, seed-for-seed equal to R
+  separate runs) and :class:`CrossEntropyOptimizer` (one chain);
+* :class:`StopKind` — how a run ended.
 """
 
 from repro.ce.diagnostics import (
@@ -23,7 +25,7 @@ from repro.ce.genperm import (
     sample_permutations,
     sample_permutations_stacked,
 )
-from repro.ce.multichain import MultiChainCE, MultiChainResult
+from repro.ce.multichain import MultiChainCE, MultiChainResult, ce_iteration
 from repro.ce.optimizer import CEConfig, CEResult, CrossEntropyOptimizer
 from repro.ce.quantile import elite_mask, elite_threshold, select_elites
 from repro.ce.smoothing import dynamic_smoothing_factor, smooth
@@ -32,16 +34,7 @@ from repro.ce.stochastic_matrix import (
     elite_counts_update,
     stacked_elite_update,
 )
-from repro.ce.stopping import (
-    AnyOf,
-    DegenerateMatrix,
-    GammaStagnation,
-    IterationState,
-    MaxIterations,
-    RowMaximaStable,
-    StopKind,
-    StoppingCriterion,
-)
+from repro.ce.stopping import StopKind
 
 __all__ = [
     "StochasticMatrix",
@@ -59,17 +52,11 @@ __all__ = [
     "select_elites",
     "smooth",
     "dynamic_smoothing_factor",
-    "IterationState",
-    "StoppingCriterion",
-    "RowMaximaStable",
-    "GammaStagnation",
-    "MaxIterations",
-    "DegenerateMatrix",
-    "AnyOf",
     "StopKind",
     "CEConfig",
     "CEResult",
     "CrossEntropyOptimizer",
     "MultiChainCE",
     "MultiChainResult",
+    "ce_iteration",
 ]

@@ -1,32 +1,39 @@
-"""Multi-chain CE engine: R independent chains as one stochastic tensor.
+"""The one CE iteration, run over R chains stacked as one tensor.
 
-Every headline number in the paper aggregates many independent CE runs
-(Table 3 alone is 30, Tables 1-2 / Figs. 7-9 sweep repetitions per
-instance). Running those chains one at a time wastes the vectorization the
-library already has: each chain's per-iteration numpy work is small enough
-that Python overhead dominates at ``n = 10``.
+MaTCH is one loop (Fig. 5): GenPerm sample → Eq. (2) score → elite
+ρ-quantile → Eq. (11)/(13) update → Eq. (12) stop. :func:`ce_iteration`
+is the only body of that loop in the library, and every engine runs it:
 
-:class:`MultiChainCE` advances ``R`` chains simultaneously:
+* :class:`MultiChainCE` advances ``R`` independent chains at once (the
+  fused ``map_many`` repetitions: Table 3 alone is 30 runs);
+* :class:`~repro.ce.optimizer.CrossEntropyOptimizer` is a one-chain
+  :class:`MultiChainCE`;
+* :func:`repro.islands.chains.chain_round` runs one iteration (R=1) on an
+  island agent's matrix and stream.
 
-* the stochastic matrices live in one ``(R, n_tasks, n_resources)``
-  tensor;
-* one batched GenPerm pass (:func:`repro.ce.genperm.sample_permutations_stacked`)
-  samples all ``R × N`` permutations through a single flattened
-  ``(R·N, n_res)`` position loop;
-* all candidates are scored with ONE objective call per joint iteration,
-  after collapsing duplicates across every chain (near-degenerate chains
-  — and chains that have converged to the same mapping — share scores);
-* Eq. (11)+(13) matrix updates run as one stacked ``bincount``
-  (:func:`repro.ce.stochastic_matrix.stacked_elite_update`), and the
-  degeneracy/entropy diagnostics are computed on the whole tensor.
+One iteration over the live chains:
 
-Each chain owns its generator and its stopping-rule counters, so chain
-``r`` of a multi-chain run is **bit-identical** to a standalone
-:class:`~repro.ce.optimizer.CrossEntropyOptimizer` run seeded the same way
-— the property the test suite pins and the experiment layer relies on to
-swap the serial repetition loops for this engine without changing any
-reported number. Chains that stop early are frozen and dropped from the
+* per-chain uniform draws, each from the chain's own generator;
+* one batched GenPerm pass over the ``(R, n_tasks, n_resources)`` tensor
+  (:func:`repro.ce.genperm.sample_permutations_stacked`);
+* one objective call for every live chain's candidates, after collapsing
+  duplicate rows across chains;
+* batched elite selection, one stacked ``bincount`` for the Eq. (11)+(13)
+  updates (:func:`repro.ce.stochastic_matrix.stacked_elite_update`) and
+  the degeneracy/entropy diagnostics on the whole tensor;
+* the stopping rules of every chain as array counters.
+
+Each chain owns its generator and its stop counters, so chain ``r`` of a
+joint run is **bit-identical** to a one-chain run seeded the same way —
+the property the experiment layer relies on to fuse repetitions without
+changing any reported number. Chains that stop are frozen and leave the
 live set; the joint loop ends when every chain has stopped.
+
+**Budget policy** (the same for every R). Each live chain draws its full
+``N`` from its own stream, so the streams never depend on the budget.
+Only the unique rows of the joint batch are charged, clamped to what the
+budget can still afford; rows it cannot afford cost ``+inf`` (they can
+never become an incumbent) and do not count as evaluated candidates.
 """
 
 from __future__ import annotations
@@ -37,17 +44,156 @@ from typing import Sequence
 import numpy as np
 
 from repro.ce.genperm import sample_permutations_stacked
-from repro.ce.optimizer import CEConfig, CEResult
 from repro.ce.quantile import select_elites, select_top_k
-from repro.ce.stochastic_matrix import StochasticMatrix, stacked_elite_update
+from repro.ce.stochastic_matrix import stacked_elite_update
 from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
 from repro.types import BatchObjectiveFn, SeedLike
-from repro.utils.dedup import collapse_duplicate_rows, pack_rows
-from repro.utils.rng import as_generator
+from repro.utils.dedup import collapse_duplicate_rows
 
-__all__ = ["MultiChainResult", "MultiChainCE"]
+# Re-exported for perfbench's layer wiring, which patches this name here.
+from repro.utils.dedup import pack_rows as pack_rows
+from repro.utils.rng import as_generator
+from repro.utils.validation import check_in_range
+
+__all__ = [
+    "CEConfig",
+    "CEResult",
+    "MultiChainResult",
+    "MultiChainCE",
+    "ce_iteration",
+    "iterate_once",
+]
+
+
+@dataclass(frozen=True)
+class CEConfig:
+    """Hyper-parameters of one CE run.
+
+    Attributes
+    ----------
+    n_samples:
+        Batch size ``N`` per iteration (the paper uses ``2·|V_r|²``).
+    rho:
+        Focus parameter; elite fraction (paper: 0.01 ≤ ρ ≤ 0.1).
+    zeta:
+        Smoothing factor of Eq. (13); 1.0 disables smoothing (coarse
+        update), the paper runs 0.3.
+    stability_window:
+        ``c`` of Eq. (12): iterations of unchanged row maxima (within
+        ``stability_tol``) required to declare convergence. ``0`` disables
+        the rule.
+    stability_tol:
+        Float tolerance for "unchanged" in the Eq. (12) check. The paper's
+        exact-equality reading only ever fires once the matrix is exactly
+        degenerate; under smoothing (ζ < 1) the maxima approach 1
+        asymptotically, so a tolerance is required in practice.
+    gamma_window:
+        The generic CE criterion (Fig. 2 step 4): stop when the elite
+        threshold ``γ`` has been unchanged this many iterations. ``0``
+        disables. This typically fires first on cost plateaus, bounding
+        mapping time without hurting quality.
+    elite_mode:
+        ``"exact_k"`` (default) keeps exactly the ``⌈ρN⌉`` best samples;
+        ``"threshold"`` keeps every sample with cost ≤ γ (the textbook
+        rule, which over-weights tied duplicates late in a run).
+    dedup:
+        Collapse duplicate candidate rows (packed-int64 keys, falling back
+        to ``np.unique`` along axis 0 for huge alphabets) before calling
+        the objective, scattering the unique costs back via the inverse
+        index. Exact — identical costs to the plain path —
+        because the objective is required to be a pure row-wise function.
+        Once ``P`` nears degeneracy most of the ``N`` samples coincide, so
+        late iterations score a fraction of the batch. Disable for
+        objectives with row-order-dependent or stateful semantics.
+    max_iterations:
+        Hard iteration budget (safety net; the adaptive criteria usually
+        fire long before).
+    track_matrices:
+        Record a snapshot of the stochastic matrix every
+        ``matrix_snapshot_every`` iterations (for Fig. 3 reproductions).
+    matrix_snapshot_every:
+        Snapshot stride when ``track_matrices`` is on.
+    """
+
+    n_samples: int
+    rho: float = 0.05
+    zeta: float = 0.3
+    stability_window: int = 5
+    stability_tol: float = 1e-6
+    gamma_window: int = 12
+    elite_mode: str = "exact_k"
+    dedup: bool = True
+    max_iterations: int = 500
+    track_matrices: bool = False
+    matrix_snapshot_every: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 2:
+            raise ConfigurationError(f"n_samples must be >= 2, got {self.n_samples}")
+        check_in_range("rho", self.rho, 0.0, 1.0, inclusive=(False, False))
+        check_in_range("zeta", self.zeta, 0.0, 1.0, inclusive=(False, True))
+        if self.stability_window < 0:
+            raise ConfigurationError(
+                f"stability_window must be >= 0, got {self.stability_window}"
+            )
+        if self.stability_tol < 0:
+            raise ConfigurationError(f"stability_tol must be >= 0, got {self.stability_tol}")
+        if self.gamma_window < 0:
+            raise ConfigurationError(f"gamma_window must be >= 0, got {self.gamma_window}")
+        if self.elite_mode not in ("exact_k", "threshold"):
+            raise ConfigurationError(
+                f"elite_mode must be 'exact_k' or 'threshold', got {self.elite_mode!r}"
+            )
+        if self.max_iterations < 1:
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.matrix_snapshot_every < 1:
+            raise ConfigurationError(
+                f"matrix_snapshot_every must be >= 1, got {self.matrix_snapshot_every}"
+            )
+
+
+@dataclass
+class CEResult:
+    """Outcome of a CE run, including per-iteration diagnostics.
+
+    ``n_evaluations`` counts logical candidates (``N`` per iteration; in
+    an iteration a capped budget cuts, only the candidates that got a
+    cost); ``n_unique_evaluations`` counts the rows actually scored after
+    duplicate collapse — the gap is the work dedup-aware scoring saved.
+    """
+
+    best_assignment: np.ndarray
+    best_cost: float
+    n_iterations: int
+    n_evaluations: int
+    stop_reason: str
+    stop_kind: StopKind = StopKind.NOT_RUN
+    n_unique_evaluations: int = 0
+    gamma_history: list[float] = field(default_factory=list)
+    best_cost_history: list[float] = field(default_factory=list)
+    degeneracy_history: list[float] = field(default_factory=list)
+    entropy_history: list[float] = field(default_factory=list)
+    dedup_rate_history: list[float] = field(default_factory=list)
+    matrix_history: list[np.ndarray] = field(default_factory=list, repr=False)
+    final_matrix: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """True when an adaptive rule (not a budget or external stop) fired."""
+        return self.stop_kind not in (
+            StopKind.BUDGET,
+            StopKind.NOT_RUN,
+            StopKind.EXTERNAL,
+        )
+
+    @property
+    def dedup_collapse_rate(self) -> float:
+        """Overall fraction of candidate rows collapsed as duplicates."""
+        if self.n_evaluations <= 0:
+            return 0.0
+        return 1.0 - self.n_unique_evaluations / self.n_evaluations
 
 
 @dataclass
@@ -55,11 +201,11 @@ class MultiChainResult:
     """Outcome of a joint multi-chain run.
 
     ``chains[r]`` is a full per-chain :class:`CEResult`, field-for-field
-    equal (histories included) to what a sequential single-chain run with
-    the same seed would have produced — except the dedup diagnostics,
-    which for a joint run live here: duplicates are collapsed across *all*
-    live chains at once, so the collapse rate is a property of the joint
-    batch, not of any one chain.
+    equal (histories included) to what a one-chain run with the same seed
+    would have produced — except the dedup diagnostics, which for a joint
+    run live here: duplicates are collapsed across *all* live chains at
+    once, so the collapse rate is a property of the joint batch, not of
+    any one chain.
     """
 
     chains: list[CEResult]
@@ -91,6 +237,140 @@ class MultiChainResult:
         return 1.0 - self.n_unique_evaluations / self.n_evaluations
 
 
+#: Stop codes of :meth:`_StopTracker.update`, in firing priority.
+_STOP_KINDS = (
+    None,
+    StopKind.BUDGET,
+    StopKind.ROW_MAXIMA_STABLE,
+    StopKind.GAMMA_STAGNATION,
+    StopKind.DEGENERATE,
+)
+
+
+class _StopTracker:
+    """The stopping rules of R chains, as array counters.
+
+    * iteration cap: ``max_iterations`` iterations done;
+    * Eq. (12): the row maxima moved by at most ``stability_tol`` for
+      ``stability_window`` consecutive iterations;
+    * Fig. 2 step 4: the elite threshold γ moved by at most ``GAMMA_TOL``
+      for ``gamma_window`` consecutive iterations;
+    * degeneracy: every row maximum is within ``DEGENERACY_TOL`` of 1.
+
+    A counter resets on any larger change, the first iteration has
+    nothing to compare with (its "previous" values are NaN, which compare
+    unequal to everything), and a window of 0 disables its rule (its
+    counter is not kept). Enabled counters advance every iteration,
+    whichever rule fires. When several rules fire at once the kind
+    reported follows the order above.
+    """
+
+    GAMMA_TOL = 1e-9
+    DEGENERACY_TOL = 1e-6
+
+    def __init__(self, config: CEConfig, n_chains: int, n_rows: int) -> None:
+        self.config = config
+        # Counters of disabled rules stay empty: they are never read.
+        n_rm = n_chains if config.stability_window > 0 else 0
+        n_g = n_chains if config.gamma_window > 0 else 0
+        self.rm_prev = np.full((n_rm, n_rows), np.nan)
+        self.rm_stable = np.zeros(n_rm, dtype=np.int64)
+        self.g_prev = np.full(n_g, np.nan)
+        self.g_stable = np.zeros(n_g, dtype=np.int64)
+
+    def update(
+        self, chains: slice | np.ndarray, k: int, mu: np.ndarray, gammas: np.ndarray
+    ) -> np.ndarray:
+        """Advance ``chains`` past iteration ``k``; return a stop code each.
+
+        ``mu`` holds the chains' row maxima ``(L, n_rows)`` and ``gammas``
+        their elite thresholds; code 0 means keep going, otherwise the code
+        indexes :data:`_STOP_KINDS`.
+        """
+        cfg = self.config
+        # Lowest priority first, so a higher-priority rule overwrites.
+        codes = 4 * (mu >= 1.0 - self.DEGENERACY_TOL).all(axis=1)
+        if cfg.gamma_window > 0:
+            g_stable = (self.g_stable[chains] + 1) * (
+                np.abs(gammas - self.g_prev[chains]) <= self.GAMMA_TOL
+            )
+            self.g_stable[chains] = g_stable
+            self.g_prev[chains] = gammas
+            codes[g_stable >= cfg.gamma_window] = 3
+        if cfg.stability_window > 0:
+            rm_stable = (self.rm_stable[chains] + 1) * (
+                np.abs(mu - self.rm_prev[chains]).max(axis=1) <= cfg.stability_tol
+            )
+            self.rm_stable[chains] = rm_stable
+            self.rm_prev[chains] = mu
+            codes[rm_stable >= cfg.stability_window] = 2
+        if k >= cfg.max_iterations:
+            codes[:] = 1
+        return codes
+
+    def reason(self, kind: StopKind) -> str:
+        """The human-readable ``stop_reason`` of a fired rule."""
+        cfg = self.config
+        if kind is StopKind.BUDGET:
+            return f"iteration budget of {cfg.max_iterations} exhausted"
+        if kind is StopKind.ROW_MAXIMA_STABLE:
+            return f"row maxima stable for {cfg.stability_window} iterations (Eq. 12)"
+        if kind is StopKind.GAMMA_STAGNATION:
+            return f"elite threshold gamma stagnant for {cfg.gamma_window} iterations"
+        return "stochastic matrix degenerate"
+
+    # -- checkpoint support --------------------------------------------------
+    def export(self, r: int) -> list[dict]:
+        """Chain ``r``'s counters as the checkpoint's positional ``members``.
+
+        One entry per rule in priority order: the iteration cap, Eq. (12)
+        and γ (each only when its window is on), degeneracy. The two
+        stateless rules export ``{}``. This is the shape every
+        ``repro-checkpoint/1`` MaTCH file carries.
+        """
+        cfg = self.config
+        members: list[dict] = [{}]
+        if cfg.stability_window > 0:
+            rm_prev = self.rm_prev[r]
+            members.append(
+                {
+                    "prev": None if np.isnan(rm_prev[0]) else rm_prev.tolist(),
+                    "stable": int(self.rm_stable[r]),
+                }
+            )
+        if cfg.gamma_window > 0:
+            g_prev = float(self.g_prev[r])
+            members.append(
+                {
+                    "prev": None if np.isnan(g_prev) else g_prev,
+                    "stable": int(self.g_stable[r]),
+                }
+            )
+        members.append({})
+        return members
+
+    def restore(self, r: int, members: list[dict]) -> None:
+        """Rebuild chain ``r``'s counters from :meth:`export` output."""
+        cfg = self.config
+        expected = 2 + (cfg.stability_window > 0) + (cfg.gamma_window > 0)
+        if len(members) != expected:
+            raise ConfigurationError(
+                f"stopping state has {len(members)} members, "
+                f"expected {expected} — config mismatch on resume"
+            )
+        rest = iter(members[1:-1])
+        if cfg.stability_window > 0:
+            member = next(rest)
+            prev = member.get("prev")
+            self.rm_prev[r] = np.nan if prev is None else prev
+            self.rm_stable[r] = int(member.get("stable", 0))
+        if cfg.gamma_window > 0:
+            member = next(rest)
+            prev = member.get("prev")
+            self.g_prev[r] = np.nan if prev is None else float(prev)
+            self.g_stable[r] = int(member.get("stable", 0))
+
+
 class MultiChainCE:
     """Advance ``R`` independent CE chains through one batched loop.
 
@@ -107,7 +387,8 @@ class MultiChainCE:
         paper's repetition protocols do).
     seeds:
         One seed-like per chain; chain ``r`` consumes exactly the random
-        stream a sequential run seeded with ``seeds[r]`` would.
+        stream a one-chain run seeded with ``seeds[r]`` would. A
+        ``Generator`` is used as is and advanced in place.
     """
 
     def __init__(
@@ -135,7 +416,6 @@ class MultiChainCE:
         self._gens = [as_generator(s) for s in seeds]
         self.n_chains = len(self._gens)
         self._select = select_top_k if config.elite_mode == "exact_k" else select_elites
-        self._P0 = StochasticMatrix.uniform(n_rows, n_cols).values
         self.budget = EvaluationBudget()
         self._started = False
 
@@ -144,115 +424,47 @@ class MultiChainCE:
         self.budget = budget
 
     # -- scoring ---------------------------------------------------------------
-    def _score_joint(
-        self, flat: np.ndarray, result: MultiChainResult
-    ) -> np.ndarray:
+    def _objective_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Score ``rows`` with the objective and charge them to the budget."""
+        costs = np.asarray(self.objective(rows), dtype=np.float64)
+        if costs.shape != (rows.shape[0],):
+            raise ConfigurationError(
+                f"objective returned shape {costs.shape}, expected ({rows.shape[0]},)"
+            )
+        self.budget.charge(rows.shape[0])
+        return costs
+
+    def _score_joint(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Score the concatenated live batch, collapsing cross-chain duplicates.
 
-        On top of the within-batch collapse, packable alphabets get a
-        cross-*iteration* memo: a sorted array of row keys with the exact
-        float the objective returned for each. Successive CE iterations
-        sample from slowly-moving distributions, so late iterations find
-        almost every unique candidate already scored. The memo is exact —
-        a hit returns the very float the objective computed for that row.
-
-        A capped budget clamps how many *fresh* rows are scored: rows past
-        the cap receive ``+inf`` (they can never become an incumbent best)
-        and are neither charged nor memoized, so ``used`` stops exactly at
-        ``max_evaluations`` while the chains' sampling RNG streams remain
-        byte-identical to an uncapped run.
+        With ``dedup`` on, only the unique rows of the joint batch reach
+        the objective (near-degenerate chains, and chains that have
+        converged to the same mapping, share scores). A capped budget
+        scores only the affordable prefix of those rows (in lexicographic
+        row order under dedup). Returns the costs and a mask of the rows
+        the budget could not afford (``None`` when every row got a cost).
         """
-        result.n_evaluations += flat.shape[0]
-        if not self.config.dedup:
-            n_score = self.budget.clamp_batch(flat.shape[0])
-            costs = np.full(flat.shape[0], np.inf)
-            if n_score:
-                scored = np.asarray(self.objective(flat[:n_score]), dtype=np.float64)
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, expected ({n_score},)"
-                    )
-                costs[:n_score] = scored
-                self.budget.charge(n_score)
-            result.n_unique_evaluations += n_score
-            return costs
-        keys = pack_rows(flat, self.n_cols)
-        if keys is None:
-            unique_rows, inverse = collapse_duplicate_rows(flat, self.n_cols)
-            n_score = self.budget.clamp_batch(unique_rows.shape[0])
-            unique_costs = np.full(unique_rows.shape[0], np.inf)
-            if n_score:
-                scored = np.asarray(
-                    self.objective(unique_rows[:n_score]), dtype=np.float64
-                )
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, "
-                        f"expected ({n_score},)"
-                    )
-                unique_costs[:n_score] = scored
-                self.budget.charge(n_score)
-            result.n_unique_evaluations += n_score
-            result.dedup_rate_history.append(1.0 - n_score / flat.shape[0])
-            return unique_costs[inverse]
-        # Resolve every row against the memo first; only keys never seen in
-        # any iteration are deduped and scored. Once chains sharpen, whole
-        # batches resolve without a single objective call or unique() pass.
-        K = self._memo_keys.shape[0]
-        pos = np.searchsorted(self._memo_keys, keys)
-        if K:
-            hit = self._memo_keys[np.minimum(pos, K - 1)] == keys
+        joint = self._joint
+        M = flat.shape[0]
+        if self.config.dedup:
+            rows, inverse = collapse_duplicate_rows(flat, self.n_cols)
         else:
-            hit = np.zeros(keys.shape[0], dtype=bool)
-        costs = np.empty(keys.shape[0])
-        if hit.any():
-            costs[hit] = self._memo_costs[pos[hit]]
-        n_score = 0
-        if not hit.all():
-            miss = ~hit
-            miss_keys, minv = np.unique(keys[miss], return_inverse=True)
-            n_fresh = miss_keys.shape[0]
-            # Budget clamp: score only the affordable prefix of the fresh
-            # keys; the remainder costs +inf and stays OUT of the memo (an
-            # unscored row must be rescored if a later run can afford it).
-            n_score = self.budget.clamp_batch(n_fresh)
-            miss_costs = np.full(n_fresh, np.inf)
-            if n_score:
-                # Unpack the packed keys back into rows (bijective, so the
-                # unpacked digits are exactly the original row values).
-                rem = miss_keys[:n_score].copy()
-                miss_rows = np.empty((n_score, self.n_rows), dtype=np.int64)
-                for c in range(self.n_rows - 1, -1, -1):
-                    np.mod(rem, self.n_cols, out=miss_rows[:, c])
-                    rem //= self.n_cols
-                scored = np.asarray(self.objective(miss_rows), dtype=np.float64)
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, "
-                        f"expected ({n_score},)"
-                    )
-                miss_costs[:n_score] = scored
-                self.budget.charge(n_score)
-            costs[miss] = miss_costs[minv]
-            if n_score:
-                # One-pass sorted merge of the freshly *scored* keys into
-                # the memo (np.unique returns sorted keys, so the prefix is
-                # itself sorted).
-                ins = np.searchsorted(self._memo_keys, miss_keys[:n_score])
-                tgt = ins + np.arange(n_score)
-                new_keys = np.empty(K + n_score, dtype=np.int64)
-                new_costs = np.empty(K + n_score)
-                keep = np.ones(K + n_score, dtype=bool)
-                keep[tgt] = False
-                new_keys[tgt] = miss_keys[:n_score]
-                new_costs[tgt] = miss_costs[:n_score]
-                new_keys[keep] = self._memo_keys
-                new_costs[keep] = self._memo_costs
-                self._memo_keys = new_keys
-                self._memo_costs = new_costs
-        result.n_unique_evaluations += n_score
-        result.dedup_rate_history.append(1.0 - n_score / flat.shape[0])
-        return costs
+            rows, inverse = flat, None
+        n_rows = rows.shape[0]
+        n_score = self.budget.clamp_batch(n_rows)
+        costs = np.full(n_rows, np.inf)
+        if n_score:
+            costs[:n_score] = self._objective_rows(rows[:n_score])
+        joint.n_unique_evaluations += n_score
+        unscored = None
+        if inverse is None:
+            if n_score < M:
+                unscored = np.arange(M) >= n_score
+            return costs, unscored
+        joint.dedup_rate_history.append(1.0 - n_score / M)
+        if n_score < n_rows:
+            unscored = inverse >= n_score
+        return costs[inverse], unscored
 
     # -- the joint loop ---------------------------------------------------------
     def start(self) -> None:
@@ -260,12 +472,10 @@ class MultiChainCE:
         cfg = self.config
         R = self.n_chains
         n_t, n_r = self.n_rows, self.n_cols
-        # Fresh score memo per run (sorted key -> exact objective float).
-        self._memo_keys = np.empty(0, dtype=np.int64)
-        self._memo_costs = np.empty(0, dtype=np.float64)
-        self._P = np.broadcast_to(self._P0, (R, n_t, n_r)).copy()
+        self._P = np.full((R, n_t, n_r), 1.0 / n_r)
         self._best_costs = np.full(R, np.inf)
         self._best_xs = [np.zeros(n_t, dtype=np.int64) for _ in range(R)]
+        self._n_evals = np.zeros(R, dtype=np.int64)
         self._chain_results = [
             CEResult(
                 best_assignment=self._best_xs[r],
@@ -284,36 +494,11 @@ class MultiChainCE:
         )
         self._live = list(range(R))
         self._k = 0
-
-        # Per-chain history rows, scatter-filled each joint iteration and
-        # sliced into the CEResult list form when a chain stops.
-        self._histories = (
-            np.empty((R, cfg.max_iterations)),
-            np.empty((R, cfg.max_iterations)),
-            np.empty((R, cfg.max_iterations)),
-            np.empty((R, cfg.max_iterations)),
-        )
-
-        # Vectorized stopping state: per-chain stability counters
-        # maintained as arrays, replicating the optimizer's AnyOf of
-        # MaxIterations / RowMaximaStable / GammaStagnation /
-        # DegenerateMatrix chain by chain, tolerances included.
-        self._rm_prev = np.zeros((R, n_t))
-        self._rm_has_prev = np.zeros(R, dtype=bool)
-        self._rm_stable = np.zeros(R, dtype=np.int64)
-        self._g_prev = np.zeros(R)
-        self._g_has_prev = np.zeros(R, dtype=bool)
-        self._g_stable = np.zeros(R, dtype=np.int64)
-        self._reasons = {
-            StopKind.BUDGET: f"iteration budget of {cfg.max_iterations} exhausted",
-            StopKind.ROW_MAXIMA_STABLE: (
-                f"row maxima stable for {cfg.stability_window} iterations (Eq. 12)"
-            ),
-            StopKind.GAMMA_STAGNATION: (
-                f"elite threshold gamma stagnant for {cfg.gamma_window} iterations"
-            ),
-            StopKind.DEGENERATE: "stochastic matrix degenerate",
-        }
+        # Per-chain gamma / best-cost / degeneracy / entropy rows, filled
+        # each iteration and sliced into the CEResult lists when a chain
+        # stops.
+        self._hist = np.empty((4, R, cfg.max_iterations))
+        self._stops = _StopTracker(cfg, R, n_t)
         self._started = True
 
     @property
@@ -340,196 +525,22 @@ class MultiChainCE:
 
     def step(self) -> bool:
         """One joint iteration over every live chain; True if any chain improved."""
-        if not self._started:
-            raise ConfigurationError("step() before start()")
-        cfg = self.config
-        N = cfg.n_samples
-        n_t = self.n_rows
-        P = self._P
-        live = self._live
-        best_costs = self._best_costs
-        best_xs = self._best_xs
-        chain_results = self._chain_results
-        joint = self._joint
-        histories = self._histories
-        gh, bh, dh, eh = histories
-        rm_prev = self._rm_prev
-        rm_has_prev = self._rm_has_prev
-        rm_stable = self._rm_stable
-        g_prev = self._g_prev
-        g_has_prev = self._g_has_prev
-        g_stable = self._g_stable
-        reasons = self._reasons
-        k = self._k + 1
-        self._k = k
-        joint.n_joint_iterations = k
-        L = len(live)
-
-        # 1. Sample all live chains. Each chain draws from its own
-        #    generator in the exact order a sequential run would: one
-        #    flat fill per chain covers both the order keys and the
-        #    roulette uniforms (PCG64 fills doubles sequentially, so a
-        #    single (2·N·n_t,) draw is stream-identical to the two
-        #    separate draws the sequential sampler makes).
-        buf = np.empty((L, 2 * N * n_t))
-        for j, r in enumerate(live):
-            self._gens[r].random(out=buf[j])
-        rand_orders = buf[:, : N * n_t].reshape(L, N, n_t)
-        rand_pos = buf[:, N * n_t :].reshape(L, n_t, N)
-        Xs = sample_permutations_stacked(P[live], rand_orders, rand_pos)
-
-        # 2. One fused scoring call over every live chain's candidates.
-        costs = self._score_joint(Xs.reshape(L * N, n_t), joint).reshape(L, N)
-
-        # 3. Per-chain elite selection and best tracking. The exact-k
-        #    mode is batched: one row-wise argpartition replaces L
-        #    select_top_k calls (same partition kernel per row, so the
-        #    elite sets and gammas match the sequential path exactly;
-        #    the per-call NaN validation is skipped on this hot path).
-        if self._select is select_top_k:
-            k_elite = max(1, int(np.ceil(cfg.rho * N)))
-            elite_idx2 = np.argpartition(costs, k_elite - 1, axis=1)[:, :k_elite]
-            gammas = np.take_along_axis(costs, elite_idx2, axis=1).max(axis=1)
-            elites_flat = Xs[np.arange(L)[:, np.newaxis], elite_idx2].reshape(
-                L * k_elite, n_t
-            )
-            elite_sizes = np.full(L, k_elite, dtype=np.int64)
-        else:
-            gammas = np.empty(L)
-            elite_chunks: list[np.ndarray] = []
-            elite_sizes = np.empty(L, dtype=np.int64)
-            for j in range(L):
-                gamma, elite_idx = self._select(costs[j], cfg.rho)
-                gammas[j] = gamma
-                elite_chunks.append(Xs[j][elite_idx])
-                elite_sizes[j] = elite_idx.shape[0]
-            elites_flat = np.concatenate(elite_chunks)
-        iter_best = np.argmin(costs, axis=1)
-        iter_best_costs = costs[np.arange(L), iter_best]
-        la = np.asarray(live, dtype=np.int64)
-        improved = np.nonzero(iter_best_costs < best_costs[la])[0]
-        if improved.size:
-            best_costs[la[improved]] = iter_best_costs[improved]
-            for j in improved:
-                best_xs[live[j]] = Xs[j, iter_best[j]].copy()
-
-        # 4. Stacked Eq. (11)+(13) update — one bincount for all chains.
-        P_live = stacked_elite_update(
-            P[live], elites_flat, elite_sizes, zeta=cfg.zeta
-        )
-        P[live] = P_live
-
-        # 5. Vectorized per-chain diagnostics on the updated tensor.
-        mu = P_live.max(axis=2)  # (L, n_rows) row maxima, Eq. (12)
-        degeneracies = mu.mean(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent_terms = np.where(P_live > 0, -P_live * np.log(P_live), 0.0)
-        entropies = ent_terms.sum(axis=2).mean(axis=1)
-
-        # 6. Stopping: every chain's counters update as array ops; firing
-        #    priority follows the optimizer's AnyOf order (budget, Eq. 12
-        #    stability, gamma stagnation, degeneracy).
-        rm_close = rm_has_prev[la] & (
-            np.abs(mu - rm_prev[la]) <= cfg.stability_tol
-        ).all(axis=1)
-        rm_stable[la] = np.where(rm_close, rm_stable[la] + 1, 0)
-        rm_prev[la] = mu
-        rm_has_prev[la] = True
-        g_close = g_has_prev[la] & (np.abs(gammas - g_prev[la]) <= 1e-9)
-        g_stable[la] = np.where(g_close, g_stable[la] + 1, 0)
-        g_prev[la] = gammas
-        g_has_prev[la] = True
-        budget_fire = k >= cfg.max_iterations
-        rm_fire = (
-            rm_stable[la] >= cfg.stability_window
-            if cfg.stability_window > 0
-            else np.zeros(L, dtype=bool)
-        )
-        g_fire = (
-            g_stable[la] >= cfg.gamma_window
-            if cfg.gamma_window > 0
-            else np.zeros(L, dtype=bool)
-        )
-        deg_fire = (mu >= 1.0 - 1e-6).all(axis=1)
-
-        # 7. Histories land in preallocated per-chain rows (converted
-        #    to the sequential run's list form only at finalize) and
-        #    stopped chains retire from the live set. The common
-        #    mid-run case — nobody fires — is a single branch.
-        gh[la, k - 1] = gammas
-        bh[la, k - 1] = best_costs[la]
-        dh[la, k - 1] = degeneracies
-        eh[la, k - 1] = entropies
-        if cfg.track_matrices and (k - 1) % cfg.matrix_snapshot_every == 0:
-            for r in live:
-                chain_results[r].matrix_history.append(P[r].copy())
-        fired = rm_fire | g_fire | deg_fire
-        if budget_fire:
-            fired = np.ones(L, dtype=bool)
-        if not fired.any():
-            return bool(improved.size)
-        survivors: list[int] = []
-        for j, r in enumerate(live):
-            if not fired[j]:
-                survivors.append(r)
-                continue
-            if budget_fire:
-                kind = StopKind.BUDGET
-            elif rm_fire[j]:
-                kind = StopKind.ROW_MAXIMA_STABLE
-            elif g_fire[j]:
-                kind = StopKind.GAMMA_STAGNATION
-            else:
-                kind = StopKind.DEGENERATE
-            res = chain_results[r]
-            res.stop_reason = reasons[kind]
-            res.stop_kind = kind
-            self._finalize_chain(
-                res, r, k, P[r], best_costs[r], best_xs[r], histories
-            )
-        self._live = survivors
-        return bool(improved.size)
+        return ce_iteration(self)
 
     def note_external_stop(self, reason: str) -> None:
         """Freeze every still-live chain with an EXTERNAL stop (budget/interrupt)."""
         if not self._started:
             return
-        for r in self._live:
-            res = self._chain_results[r]
-            res.stop_reason = reason
-            res.stop_kind = StopKind.EXTERNAL
-            self._finalize_chain(
-                res,
-                r,
-                self._k,
-                self._P[r],
-                self._best_costs[r],
-                self._best_xs[r],
-                self._histories,
-            )
-        self._live = []
+        self._retire(self._live, StopKind.EXTERNAL, reason)
 
     def finalize(self) -> MultiChainResult:
         """Freeze any leftover live chains and return the joint result."""
         if not self._started:
             raise ConfigurationError("finalize() before start()")
-        # MaxIterations bounds the loop, so every chain has stopped by now
-        # whenever step() ran to completion; the guard below is a safety net
-        # for external termination between steps.
-        for r in self._live:
-            res = self._chain_results[r]
-            res.stop_reason = "iteration budget exhausted"
-            res.stop_kind = StopKind.BUDGET
-            self._finalize_chain(
-                res,
-                r,
-                self._joint.n_joint_iterations,
-                self._P[r],
-                self._best_costs[r],
-                self._best_xs[r],
-                self._histories,
-            )
-        self._live = []
+        # The iteration cap bounds the loop, so every chain has stopped by
+        # now whenever step() ran to completion; this is a safety net for
+        # external termination between steps.
+        self._retire(self._live, StopKind.BUDGET, "iteration budget exhausted")
         return self._joint
 
     def run(self) -> MultiChainResult:
@@ -539,29 +550,176 @@ class MultiChainCE:
             self.step()
         return self.finalize()
 
-    def _finalize_chain(
-        self,
-        res: CEResult,
-        r: int,
-        n_iter: int,
-        P_r: np.ndarray,
-        best_cost: float,
-        best_x: np.ndarray,
-        histories: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Freeze a chain's result exactly as the sequential run would."""
-        gh, bh, dh, eh = histories
+    def _retire(self, chains: Sequence[int], kind: StopKind, reason: str) -> None:
+        """Stop ``chains`` with ``kind`` and freeze their results."""
+        for r in chains:
+            res = self._chain_results[r]
+            res.stop_kind = kind
+            res.stop_reason = reason
+            self._finalize_chain(r)
+        if len(chains) == len(self._live):
+            self._live = []
+        else:
+            gone = set(chains)
+            self._live = [r for r in self._live if r not in gone]
+
+    def _finalize_chain(self, r: int) -> None:
+        """Freeze chain ``r``'s result as of the current iteration."""
+        n_iter = self._k
+        res = self._chain_results[r]
+        gh, bh, dh, eh = self._hist[:, r, :n_iter]
         res.n_iterations = n_iter
-        res.n_evaluations = self.config.n_samples * n_iter
-        res.gamma_history = gh[r, :n_iter].tolist()
-        res.best_cost_history = bh[r, :n_iter].tolist()
-        res.degeneracy_history = dh[r, :n_iter].tolist()
-        res.entropy_history = eh[r, :n_iter].tolist()
-        res.best_assignment = best_x
-        res.best_cost = float(best_cost)
-        res.final_matrix = P_r.copy()
+        res.n_evaluations = int(self._n_evals[r])
+        res.gamma_history = gh.tolist()
+        res.best_cost_history = bh.tolist()
+        res.degeneracy_history = dh.tolist()
+        res.entropy_history = eh.tolist()
+        res.best_assignment = self._best_xs[r]
+        res.best_cost = float(self._best_costs[r])
+        res.final_matrix = self._P[r].copy()
         if self.config.track_matrices and (
             not res.matrix_history
             or not np.array_equal(res.matrix_history[-1], res.final_matrix)
         ):
             res.matrix_history.append(res.final_matrix)
+
+
+def iterate_once(
+    objective: BatchObjectiveFn,
+    matrix: np.ndarray,
+    rng: np.random.Generator,
+    config: CEConfig,
+) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """One :func:`ce_iteration` of a one-chain engine on ``matrix`` and ``rng``.
+
+    The island agent round: the chain resumes from the agent's current
+    (gossip-blended) matrix instead of the uniform start. Advances ``rng``;
+    returns the updated matrix and the iteration's best cost, best
+    assignment and elite threshold γ.
+    """
+    engine = MultiChainCE(objective, *matrix.shape, config, seeds=[rng])
+    engine.start()
+    engine._P[0] = matrix
+    ce_iteration(engine)
+    return (
+        engine._P[0],
+        float(engine._best_costs[0]),
+        engine._best_xs[0],
+        float(engine._hist[0, 0, 0]),
+    )
+
+
+def ce_iteration(engine: MultiChainCE) -> bool:
+    """The CE iteration (Fig. 5 steps 2-7) over every live chain of ``engine``.
+
+    The one body every engine runs (see the module docstring); returns
+    True if any chain improved its incumbent.
+    """
+    if not engine._started:
+        raise ConfigurationError("call start() before step()")
+    if not engine._live:
+        return False  # every chain has stopped: nothing to advance
+    if engine.budget.evaluations_remaining() < 1:
+        # Only reachable when stepped without a budget-checking loop; record
+        # a clean external stop instead of sampling rows nobody can score.
+        engine.note_external_stop("evaluation budget exhausted before sampling")
+        return False
+    cfg = engine.config
+    N = cfg.n_samples
+    n_t = engine.n_rows
+    P = engine._P
+    live = engine._live
+    la = np.asarray(live, dtype=np.int64)
+    L = len(live)
+    # While every chain is live (always, for one chain) a slice selects
+    # them as views instead of fancy-index copies.
+    rows = slice(None) if L == engine.n_chains else la
+    best_costs = engine._best_costs
+    joint = engine._joint
+    k = engine._k + 1
+    engine._k = k
+    joint.n_joint_iterations = k
+
+    # 1. Sample all live chains. Each chain draws from its own generator
+    #    in the exact order a sequential GenPerm call would: one flat fill
+    #    per chain covers both the order keys and the roulette uniforms
+    #    (PCG64 fills doubles sequentially, so a single (2·N·n_t,) draw is
+    #    stream-identical to the two separate draws).
+    buf = np.empty((L, 2 * N * n_t))
+    for j, r in enumerate(live):
+        engine._gens[r].random(out=buf[j])
+    rand_orders = buf[:, : N * n_t].reshape(L, N, n_t)
+    rand_pos = buf[:, N * n_t :].reshape(L, n_t, N)
+    Xs = sample_permutations_stacked(P[rows], rand_orders, rand_pos)
+
+    # 2. One fused scoring call over every live chain's candidates.
+    flat_costs, unscored = engine._score_joint(Xs.reshape(L * N, n_t))
+    costs = flat_costs.reshape(L, N)
+    if unscored is None:
+        engine._n_evals[rows] += N
+        joint.n_evaluations += L * N
+    else:
+        evaluated = N - unscored.reshape(L, N).sum(axis=1)
+        engine._n_evals[rows] += evaluated
+        joint.n_evaluations += int(evaluated.sum())
+
+    # 3. Per-chain elite selection and best tracking. The exact-k mode is
+    #    batched: one row-wise argpartition replaces L select_top_k calls
+    #    (same partition kernel per row, so the elite sets and gammas match
+    #    the per-chain path exactly; the per-call NaN validation is skipped
+    #    on this hot path).
+    chain_ix = np.arange(L)[:, np.newaxis]
+    if engine._select is select_top_k:
+        k_elite = max(1, int(np.ceil(cfg.rho * N)))
+        elite_idx2 = np.argpartition(costs, k_elite - 1, axis=1)[:, :k_elite]
+        gammas = costs[chain_ix, elite_idx2].max(axis=1)
+        elites_flat = Xs[chain_ix, elite_idx2].reshape(L * k_elite, n_t)
+        elite_sizes = np.full(L, k_elite, dtype=np.int64)
+    else:
+        gammas = np.empty(L)
+        elite_chunks: list[np.ndarray] = []
+        elite_sizes = np.empty(L, dtype=np.int64)
+        for j in range(L):
+            gamma, elite_idx = engine._select(costs[j], cfg.rho)
+            gammas[j] = gamma
+            elite_chunks.append(Xs[j][elite_idx])
+            elite_sizes[j] = elite_idx.shape[0]
+        elites_flat = np.concatenate(elite_chunks)
+    iter_best = costs.argmin(axis=1)
+    iter_best_costs = costs[chain_ix[:, 0], iter_best]
+    improved = np.nonzero(iter_best_costs < best_costs[rows])[0]
+    if improved.size:
+        best_costs[la[improved]] = iter_best_costs[improved]
+        for j in improved:
+            engine._best_xs[live[j]] = Xs[j, iter_best[j]].copy()
+
+    # 4. Stacked Eq. (11)+(13) update — one bincount for all chains.
+    P_live = stacked_elite_update(P[rows], elites_flat, elite_sizes, zeta=cfg.zeta)
+    P[rows] = P_live
+
+    # 5. Vectorized per-chain diagnostics on the updated tensor (a sum
+    #    over n_t divided by n_t is np.mean's own arithmetic).
+    mu = P_live.max(axis=2)  # (L, n_rows) row maxima, Eq. (12)
+    positive = P_live > 0
+    logs = np.log(P_live, out=np.zeros_like(P_live), where=positive)
+    ent_terms = np.where(positive, -P_live * logs, 0.0)
+    hist = engine._hist
+    hist[0, rows, k - 1] = gammas
+    hist[1, rows, k - 1] = best_costs[rows]
+    hist[2, rows, k - 1] = mu.sum(axis=1) / n_t
+    hist[3, rows, k - 1] = ent_terms.sum(axis=2).sum(axis=1) / n_t
+    if cfg.track_matrices and (k - 1) % cfg.matrix_snapshot_every == 0:
+        for r in live:
+            engine._chain_results[r].matrix_history.append(P[r].copy())
+
+    # 6. Stopping; the common mid-run case — nobody fires — is one branch.
+    codes = engine._stops.update(rows, k, mu, gammas)
+    if codes.any():
+        stopped: dict[int, list[int]] = {}
+        for j in np.flatnonzero(codes).tolist():
+            stopped.setdefault(int(codes[j]), []).append(live[j])
+        for code, chains in stopped.items():
+            kind = _STOP_KINDS[code]
+            assert kind is not None
+            engine._retire(chains, kind, engine._stops.reason(kind))
+    return bool(improved.size)

@@ -1,167 +1,37 @@
 """The cross-entropy optimizer MaTCH runs (Fig. 2 / Fig. 5 steps 2-8).
 
-It owns the CE iteration — GenPerm sampling over the task × resource
-stochastic matrix, scoring, elite quantile, Eq. (11)/(13) matrix update,
-Eq. (12)/Fig. 2 stopping check — while staying agnostic of the cost: the
-objective is a batch function mapping an ``(N, n_rows)`` integer batch to
-``(N,)`` costs — lower is better. The engine minimizes.
+:class:`CrossEntropyOptimizer` is one chain of the multi-chain engine: its
+iteration is :func:`repro.ce.multichain.ce_iteration` — GenPerm sampling
+over the task × resource stochastic matrix, dedup-aware scoring, elite
+quantile, Eq. (11)/(13) matrix update, Eq. (12)/Fig. 2 stopping check —
+run with R=1. It stays agnostic of the cost: the objective is a batch
+function mapping an ``(N, n_rows)`` integer batch to ``(N,)`` costs —
+lower is better. The engine minimizes.
+
+What this class adds is the single-run surface: a :class:`CEResult`
+instead of a joint result, and ``repro-checkpoint/1`` export/restore of
+the live run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.ce.genperm import sample_permutations
-from repro.ce.quantile import select_elites, select_top_k
-from repro.ce.stochastic_matrix import StochasticMatrix
-from repro.ce.stopping import (
-    AnyOf,
-    DegenerateMatrix,
-    GammaStagnation,
-    IterationState,
-    MaxIterations,
-    RowMaximaStable,
-    StopKind,
-    StoppingCriterion,
-)
+# Re-exported for perfbench's layer wiring, which patches these names here;
+# the iteration itself samples and collapses through repro.ce.multichain.
+from repro.ce.genperm import sample_permutations as sample_permutations
+from repro.ce.multichain import CEConfig, CEResult, MultiChainCE, ce_iteration
+from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
-from repro.types import AssignmentBatch, BatchObjectiveFn, SeedLike
-from repro.utils.dedup import collapse_duplicate_rows
+from repro.types import BatchObjectiveFn, SeedLike
+from repro.utils.dedup import collapse_duplicate_rows as collapse_duplicate_rows
 from repro.utils.rng import as_generator, generator_from_state, generator_state
-from repro.utils.validation import check_in_range
 
 __all__ = ["CEConfig", "CEResult", "CrossEntropyOptimizer"]
 
-
-@dataclass(frozen=True)
-class CEConfig:
-    """Hyper-parameters of one CE run.
-
-    Attributes
-    ----------
-    n_samples:
-        Batch size ``N`` per iteration (the paper uses ``2·|V_r|²``).
-    rho:
-        Focus parameter; elite fraction (paper: 0.01 ≤ ρ ≤ 0.1).
-    zeta:
-        Smoothing factor of Eq. (13); 1.0 disables smoothing (coarse
-        update), the paper runs 0.3.
-    stability_window:
-        ``c`` of Eq. (12): iterations of unchanged row maxima (within
-        ``stability_tol``) required to declare convergence. ``0`` disables
-        the rule.
-    stability_tol:
-        Float tolerance for "unchanged" in the Eq. (12) check. The paper's
-        exact-equality reading only ever fires once the matrix is exactly
-        degenerate; under smoothing (ζ < 1) the maxima approach 1
-        asymptotically, so a tolerance is required in practice.
-    gamma_window:
-        The generic CE criterion (Fig. 2 step 4): stop when the elite
-        threshold ``γ`` has been unchanged this many iterations. ``0``
-        disables. This typically fires first on cost plateaus, bounding
-        mapping time without hurting quality.
-    elite_mode:
-        ``"exact_k"`` (default) keeps exactly the ``⌈ρN⌉`` best samples;
-        ``"threshold"`` keeps every sample with cost ≤ γ (the textbook
-        rule, which over-weights tied duplicates late in a run).
-    dedup:
-        Collapse duplicate candidate rows (packed-int64 keys, falling back
-        to ``np.unique`` along axis 0 for huge alphabets) before calling
-        the objective, scattering the unique costs back via the inverse
-        index. Exact — identical costs to the plain path —
-        because the objective is required to be a pure row-wise function.
-        Once ``P`` nears degeneracy most of the ``N`` samples coincide, so
-        late iterations score a fraction of the batch. Disable for
-        objectives with row-order-dependent or stateful semantics.
-    max_iterations:
-        Hard iteration budget (safety net; the adaptive criteria usually
-        fire long before).
-    track_matrices:
-        Record a snapshot of the stochastic matrix every
-        ``matrix_snapshot_every`` iterations (for Fig. 3 reproductions).
-    matrix_snapshot_every:
-        Snapshot stride when ``track_matrices`` is on.
-    """
-
-    n_samples: int
-    rho: float = 0.05
-    zeta: float = 0.3
-    stability_window: int = 5
-    stability_tol: float = 1e-6
-    gamma_window: int = 12
-    elite_mode: str = "exact_k"
-    dedup: bool = True
-    max_iterations: int = 500
-    track_matrices: bool = False
-    matrix_snapshot_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ConfigurationError(f"n_samples must be >= 2, got {self.n_samples}")
-        check_in_range("rho", self.rho, 0.0, 1.0, inclusive=(False, False))
-        check_in_range("zeta", self.zeta, 0.0, 1.0, inclusive=(False, True))
-        if self.stability_window < 0:
-            raise ConfigurationError(
-                f"stability_window must be >= 0, got {self.stability_window}"
-            )
-        if self.stability_tol < 0:
-            raise ConfigurationError(f"stability_tol must be >= 0, got {self.stability_tol}")
-        if self.gamma_window < 0:
-            raise ConfigurationError(f"gamma_window must be >= 0, got {self.gamma_window}")
-        if self.elite_mode not in ("exact_k", "threshold"):
-            raise ConfigurationError(
-                f"elite_mode must be 'exact_k' or 'threshold', got {self.elite_mode!r}"
-            )
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.matrix_snapshot_every < 1:
-            raise ConfigurationError(
-                f"matrix_snapshot_every must be >= 1, got {self.matrix_snapshot_every}"
-            )
-
-
-@dataclass
-class CEResult:
-    """Outcome of a CE run, including per-iteration diagnostics.
-
-    ``n_evaluations`` counts logical candidates (``N`` per iteration);
-    ``n_unique_evaluations`` counts the rows actually scored after
-    duplicate collapse — the gap is the work dedup-aware scoring saved.
-    """
-
-    best_assignment: np.ndarray
-    best_cost: float
-    n_iterations: int
-    n_evaluations: int
-    stop_reason: str
-    stop_kind: StopKind = StopKind.NOT_RUN
-    n_unique_evaluations: int = 0
-    gamma_history: list[float] = field(default_factory=list)
-    best_cost_history: list[float] = field(default_factory=list)
-    degeneracy_history: list[float] = field(default_factory=list)
-    entropy_history: list[float] = field(default_factory=list)
-    dedup_rate_history: list[float] = field(default_factory=list)
-    matrix_history: list[np.ndarray] = field(default_factory=list, repr=False)
-    final_matrix: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def converged(self) -> bool:
-        """True when an adaptive rule (not a budget or external stop) fired."""
-        return self.stop_kind not in (
-            StopKind.BUDGET,
-            StopKind.NOT_RUN,
-            StopKind.EXTERNAL,
-        )
-
-    @property
-    def dedup_collapse_rate(self) -> float:
-        """Overall fraction of candidate rows collapsed as duplicates."""
-        if self.n_evaluations <= 0:
-            return 0.0
-        return 1.0 - self.n_unique_evaluations / self.n_evaluations
+#: The four per-iteration histories, in the engine's history-row order.
+_HISTORIES = ("gamma_history", "best_cost_history", "degeneracy_history", "entropy_history")
 
 
 class CrossEntropyOptimizer:
@@ -192,192 +62,74 @@ class CrossEntropyOptimizer:
         rng: SeedLike = None,
         budget: "EvaluationBudget | None" = None,
     ) -> None:
-        if n_rows < 1 or n_cols < 1:
-            raise ConfigurationError(f"matrix dims must be >= 1, got ({n_rows}, {n_cols})")
-        if n_rows > n_cols:
-            raise ConfigurationError(
-                "permutation sampling requires n_rows <= n_cols "
-                f"(got {n_rows} tasks, {n_cols} resources)"
-            )
-        self.objective = objective
-        self.n_rows = n_rows
-        self.n_cols = n_cols
         self.config = config
-        self.rng = as_generator(rng)
+        self._engine = MultiChainCE(
+            objective, n_rows, n_cols, config, seeds=[as_generator(rng)]
+        )
+        if budget is not None:
+            self._engine.bind_budget(budget)
 
-        criteria: list[StoppingCriterion] = [MaxIterations(config.max_iterations)]
-        if config.stability_window > 0:
-            criteria.append(
-                RowMaximaStable(config.stability_window, tol=config.stability_tol)
-            )
-        if config.gamma_window > 0:
-            criteria.append(GammaStagnation(config.gamma_window))
-        criteria.append(DegenerateMatrix())
-        self.stopping = AnyOf(tuple(criteria))
-        self._select = select_top_k if config.elite_mode == "exact_k" else select_elites
-        self.matrix = StochasticMatrix.uniform(n_rows, n_cols)
-
-        self.budget = budget if budget is not None else EvaluationBudget()
-        self._result: CEResult | None = None
-        self._best_cost: float = np.inf
-        self._best_x = np.zeros(self.n_rows, dtype=np.int64)
-        self._k = 0
-        self._finished = False
+    @property
+    def budget(self) -> EvaluationBudget:
+        """The budget every freshly scored row is charged against."""
+        return self._engine.budget
 
     def bind_budget(self, budget: "EvaluationBudget") -> None:
         """Swap in the shared budget all scored rows are charged against."""
-        self.budget = budget
-
-    def _score(self, X: AssignmentBatch, result: CEResult) -> np.ndarray:
-        """Score a batch, collapsing duplicate rows first when configured.
-
-        The dedup path is exact: duplicate rows receive the very float the
-        objective computed for their unique representative, so downstream
-        elite selection and argmin behave identically to the plain path.
-        """
-        if not self.config.dedup:
-            costs = np.asarray(self.objective(X), dtype=np.float64)
-            if costs.shape != (X.shape[0],):
-                raise ConfigurationError(
-                    f"objective returned shape {costs.shape}, expected ({X.shape[0]},)"
-                )
-            result.n_unique_evaluations += X.shape[0]
-            self.budget.charge(X.shape[0])
-            return costs
-        unique_rows, inverse = collapse_duplicate_rows(np.asarray(X), self.n_cols)
-        unique_costs = np.asarray(self.objective(unique_rows), dtype=np.float64)
-        if unique_costs.shape != (unique_rows.shape[0],):
-            raise ConfigurationError(
-                f"objective returned shape {unique_costs.shape}, "
-                f"expected ({unique_rows.shape[0]},)"
-            )
-        result.n_unique_evaluations += unique_rows.shape[0]
-        self.budget.charge(unique_rows.shape[0])
-        result.dedup_rate_history.append(1.0 - unique_rows.shape[0] / X.shape[0])
-        return unique_costs[inverse]
+        self._engine.bind_budget(budget)
 
     # -- stepwise protocol (driven by repro.runtime.SearchLoop) -----------------
     def start(self) -> None:
         """Reset live state for a fresh run; pairs with step/finalize."""
-        self.stopping.reset()
-        self._best_cost = np.inf
-        self._best_x = np.zeros(self.n_rows, dtype=np.int64)
-        self._k = 0
-        self._finished = False
-        self._result = CEResult(
-            best_assignment=self._best_x,
-            best_cost=np.inf,
-            n_iterations=0,
-            n_evaluations=0,
-            stop_reason="not run",
-        )
+        self._engine.start()
 
     @property
     def finished(self) -> bool:
         """True once a stopping criterion (or an external stop) fired."""
-        return self._finished
+        return self._engine.finished
 
     @property
     def iteration(self) -> int:
         """Completed CE iterations of the current run."""
-        return self._k
+        return self._engine.iteration
 
     @property
     def best_cost(self) -> float:
         """Incumbent best cost of the current run."""
-        return float(self._best_cost)
+        return self._engine.best_cost
 
     def step(self) -> bool:
         """One CE iteration (Fig. 5 steps 2-7); returns True on improvement.
 
-        The sample batch is clamped to the evaluations the budget can still
-        afford, so the final iteration of a capped run shrinks instead of
-        overshooting ``max_evaluations`` (dedup can only make the charged
-        count smaller than the draw, never larger). Unlimited budgets pass
-        ``n_samples`` through untouched — the RNG stream of unbudgeted runs
-        is byte-identical to before.
+        Under a capped budget the chain still draws its full ``N``; the
+        fresh rows the budget cannot afford cost ``+inf`` and do not count
+        toward ``n_evaluations`` (see the budget policy in
+        :mod:`repro.ce.multichain`).
         """
-        cfg = self.config
-        result = self._require_started()
-        k = self._k + 1
-        n_draw = self.budget.clamp_batch(cfg.n_samples)
-        if n_draw < 1:
-            # Only reachable when step() is driven without a budget-checking
-            # loop; record a clean external stop instead of spinning forever.
-            self.note_external_stop("evaluation budget exhausted before sampling")
-            return False
-        X = sample_permutations(self.matrix.view(), n_draw, self.rng)
-        costs = self._score(X, result)
-        result.n_evaluations += X.shape[0]
-
-        gamma, elite_idx = self._select(costs, cfg.rho)
-        iter_best = int(np.argmin(costs))
-        improved = bool(costs[iter_best] < self._best_cost)
-        if improved:
-            self._best_cost = float(costs[iter_best])
-            self._best_x = X[iter_best].copy()
-
-        self.matrix.update_from_elites(X[elite_idx], zeta=cfg.zeta)
-
-        result.gamma_history.append(float(gamma))
-        result.best_cost_history.append(float(self._best_cost))
-        result.degeneracy_history.append(self.matrix.degeneracy())
-        result.entropy_history.append(self.matrix.entropy())
-        if cfg.track_matrices and (k - 1) % cfg.matrix_snapshot_every == 0:
-            result.matrix_history.append(self.matrix.values)
-        result.n_iterations = k
-        self._k = k
-
-        state = IterationState(
-            iteration=k,
-            gamma=float(gamma),
-            best_cost=float(self._best_cost),
-            matrix=self.matrix,
-        )
-        if self.stopping.update(state):
-            result.stop_reason = self.stopping.reason
-            result.stop_kind = self.stopping.kind
-            self._finished = True
-        return improved
+        return ce_iteration(self._engine)
 
     def note_external_stop(self, reason: str) -> None:
         """Record that the surrounding loop ended the run (budget/interrupt)."""
-        result = self._require_started()
-        result.stop_reason = reason
-        result.stop_kind = StopKind.EXTERNAL
-        self._finished = True
+        self._engine.note_external_stop(reason)
 
     def finalize(self) -> CEResult:
         """Freeze and return the result of the current run."""
-        cfg = self.config
-        result = self._require_started()
-        result.best_assignment = self._best_x
-        result.best_cost = (
-            float(self._best_cost) if np.isfinite(self._best_cost) else np.inf
-        )
-        result.final_matrix = self.matrix.values
-        if cfg.track_matrices and (
-            not result.matrix_history
-            or not np.array_equal(result.matrix_history[-1], result.final_matrix)
-        ):
-            result.matrix_history.append(result.final_matrix)
+        joint = self._engine.finalize()
+        result = joint.chains[0]
+        result.n_unique_evaluations = joint.n_unique_evaluations
+        result.dedup_rate_history = list(joint.dedup_rate_history)
         return result
-
-    def _require_started(self) -> CEResult:
-        if self._result is None:
-            raise ConfigurationError("call start() before step()/finalize()")
-        return self._result
 
     def run(self) -> CEResult:
         """Execute the CE loop (Fig. 5 steps 2-8) and return the result.
 
         Equivalent to ``start()`` + ``step()`` until ``finished`` +
         ``finalize()`` — the stepwise protocol the solver runtime drives;
-        this convenience keeps the one-call API. ``MaxIterations`` is
-        always in the criterion set, so the loop terminates.
+        this convenience keeps the one-call API. The iteration cap always
+        applies, so the loop terminates.
         """
         self.start()
-        while not self._finished:
+        while not self.finished:
             self.step()
         return self.finalize()
 
@@ -389,60 +141,60 @@ class CrossEntropyOptimizer:
         optimizer (same config) resumes the run bit-for-bit: the next
         ``step()`` draws the exact samples the uninterrupted run would.
         """
-        result = self._require_started()
+        engine = self._engine
+        if not engine._started:
+            raise ConfigurationError("call start() before export_state()")
+        k = engine.iteration
+        best_cost = float(engine._best_costs[0])
+        result = engine._chain_results[0]
+        joint = engine._joint
         state: dict = {
-            "k": self._k,
-            "finished": self._finished,
-            "matrix": self.matrix.values.tolist(),
-            "rng": generator_state(self.rng),
-            "best_cost": (
-                float(self._best_cost) if np.isfinite(self._best_cost) else None
-            ),
-            "best_x": self._best_x.tolist(),
-            "stopping": self.stopping.export_state(),
+            "k": k,
+            "finished": not engine._live,
+            "matrix": engine._P[0].tolist(),
+            "rng": generator_state(engine._gens[0]),
+            "best_cost": best_cost if np.isfinite(best_cost) else None,
+            "best_x": engine._best_xs[0].tolist(),
+            "stopping": {"members": engine._stops.export(0)},
             "result": {
-                "n_evaluations": result.n_evaluations,
-                "n_unique_evaluations": result.n_unique_evaluations,
+                "n_evaluations": int(engine._n_evals[0]),
+                "n_unique_evaluations": joint.n_unique_evaluations,
                 "stop_reason": result.stop_reason,
                 "stop_kind": result.stop_kind.value,
-                "gamma_history": list(result.gamma_history),
-                "best_cost_history": list(result.best_cost_history),
-                "degeneracy_history": list(result.degeneracy_history),
-                "entropy_history": list(result.entropy_history),
-                "dedup_rate_history": list(result.dedup_rate_history),
+                "dedup_rate_history": list(joint.dedup_rate_history),
             },
         }
+        for row, name in enumerate(_HISTORIES):
+            state["result"][name] = engine._hist[row, 0, :k].tolist()
         if self.config.track_matrices:
             state["matrix_history"] = [m.tolist() for m in result.matrix_history]
         return state
 
     def restore_state(self, state: dict) -> None:
         """Resume mid-run from :meth:`export_state` output (same config)."""
-        self.matrix = StochasticMatrix(np.asarray(state["matrix"], dtype=np.float64))
-        self.rng = generator_from_state(state["rng"])
-        self._k = int(state["k"])
-        self._finished = bool(state["finished"])
+        engine = self._engine
+        engine.start()
+        k = int(state["k"])
+        engine._k = k
+        engine._P[0] = np.asarray(state["matrix"], dtype=np.float64)
+        engine._gens[0] = generator_from_state(state["rng"])
         best_cost = state.get("best_cost")
-        self._best_cost = np.inf if best_cost is None else float(best_cost)
-        self._best_x = np.asarray(state["best_x"], dtype=np.int64)
-        self.stopping.reset()
-        self.stopping.restore_state(state["stopping"])
+        engine._best_costs[0] = np.inf if best_cost is None else float(best_cost)
+        engine._best_xs[0] = np.asarray(state["best_x"], dtype=np.int64)
+        engine._stops.restore(0, state["stopping"].get("members", []))
         saved = state["result"]
-        self._result = CEResult(
-            best_assignment=self._best_x,
-            best_cost=self._best_cost,
-            n_iterations=self._k,
-            n_evaluations=int(saved["n_evaluations"]),
-            stop_reason=str(saved["stop_reason"]),
-            stop_kind=StopKind(saved["stop_kind"]),
-            n_unique_evaluations=int(saved["n_unique_evaluations"]),
-            gamma_history=[float(v) for v in saved["gamma_history"]],
-            best_cost_history=[float(v) for v in saved["best_cost_history"]],
-            degeneracy_history=[float(v) for v in saved["degeneracy_history"]],
-            entropy_history=[float(v) for v in saved["entropy_history"]],
-            dedup_rate_history=[float(v) for v in saved["dedup_rate_history"]],
-        )
+        for row, name in enumerate(_HISTORIES):
+            engine._hist[row, 0, :k] = saved[name]
+        engine._n_evals[0] = int(saved["n_evaluations"])
+        joint = engine._joint
+        joint.n_joint_iterations = k
+        joint.n_evaluations = int(saved["n_evaluations"])
+        joint.n_unique_evaluations = int(saved["n_unique_evaluations"])
+        joint.dedup_rate_history = [float(v) for v in saved["dedup_rate_history"]]
+        result = engine._chain_results[0]
         if self.config.track_matrices and "matrix_history" in state:
-            self._result.matrix_history = [
+            result.matrix_history = [
                 np.asarray(m, dtype=np.float64) for m in state["matrix_history"]
             ]
+        if state["finished"]:
+            engine._retire([0], StopKind(saved["stop_kind"]), str(saved["stop_reason"]))

@@ -85,15 +85,14 @@ def stacked_elite_update(
     sizes = np.asarray(chain_sizes, dtype=np.int64)
     if sizes.shape != (R,) or np.any(sizes < 1):
         raise ValidationError(f"chain_sizes must be (R,) with positive entries, got {sizes}")
-    if E.ndim != 2 or E.shape != (int(sizes.sum()), n_rows):
-        raise ValidationError(
-            f"elites must have shape ({int(sizes.sum())}, {n_rows}), got {E.shape}"
-        )
+    n_elites = int(sizes.sum())
+    if E.ndim != 2 or E.shape != (n_elites, n_rows):
+        raise ValidationError(f"elites must have shape ({n_elites}, {n_rows}), got {E.shape}")
     if E.min() < 0 or E.max() >= n_cols:
         raise ValidationError(f"elite values must be in [0, {n_cols - 1}]")
-    chain_ids = np.repeat(np.arange(R, dtype=np.int64), sizes)
-    rows = np.broadcast_to(np.arange(n_rows, dtype=np.int64), E.shape)
-    flat = (chain_ids[:, np.newaxis] * n_rows + rows).ravel() * n_cols + E.ravel()
+    # Cell (chain c, row i, column E[e, i]) of the flattened count tensor.
+    chain_base = np.repeat(np.arange(0, R * n_rows * n_cols, n_rows * n_cols), sizes)
+    flat = (E + np.arange(0, n_rows * n_cols, n_cols) + chain_base[:, np.newaxis]).ravel()
     counts = np.bincount(flat, minlength=R * n_rows * n_cols).reshape(R, n_rows, n_cols)
     Q = counts.astype(np.float64) / sizes[:, np.newaxis, np.newaxis]
     P_new = zeta * Q + (1.0 - zeta) * P_stack

@@ -17,11 +17,12 @@ design as a deterministic simulation of the agent system:
 The simulation is sequential (single process): the point reproduced is the
 *algorithmic* behaviour of the distributed scheme — sample-budget split,
 delayed information sharing, heterogeneous exploration — not wall-clock
-parallel speedup. For actual multi-node execution see :mod:`repro.islands`,
-which runs the **same agent round** (:func:`repro.islands.chains.chain_round`
-— this module calls it too, so the two cannot diverge) over a socket
-transport and is pinned bit-identical to this simulation by the loopback
-parity tests.
+parallel speedup. It has no loop of its own: it runs the island runtime's
+round loop (:func:`repro.islands.chains.run_rounds`) over the in-process
+agent set (:class:`repro.islands.chains.LocalAgents`) that the coordinator
+also falls back to when every island is lost. :mod:`repro.islands` runs
+the same loop and the same agent round over sockets, and is pinned
+bit-identical to this simulation by the loopback parity tests.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ import numpy as np
 from repro.baselines.base import Mapper
 from repro.core.config import paper_sample_size
 from repro.exceptions import ConfigurationError
-from repro.islands.chains import (
-    DEGENERACY_TOL,
-    agent_streams,
-    blend_towards,
-    chain_round,
-)
-from repro.ce.stochastic_matrix import StochasticMatrix
+from repro.islands.chains import ChainState, LocalAgents, agent_streams, run_rounds
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.types import SeedLike
@@ -75,18 +70,14 @@ class DistributedMatchConfig:
         if self.gamma_window < 1:
             raise ConfigurationError(f"gamma_window must be >= 1, got {self.gamma_window}")
 
-
-class _Agent:
-    """One CE agent: private matrix, RNG stream and best-so-far."""
-
-    __slots__ = ("matrix", "rng", "best_cost", "best_x", "last_gamma")
-
-    def __init__(self, n_t: int, n_r: int, rng: np.random.Generator) -> None:
-        self.matrix = StochasticMatrix.uniform(n_t, n_r)
-        self.rng = rng
-        self.best_cost = np.inf
-        self.best_x = np.zeros(n_t, dtype=np.int64)
-        self.last_gamma = np.inf
+    def samples_per_agent(self, n_resources: int) -> int:
+        """Each agent's samples per round: the round's total split evenly."""
+        total = (
+            self.total_samples
+            if self.total_samples is not None
+            else paper_sample_size(n_resources)
+        )
+        return max(2, total // self.n_agents)
 
 
 class DistributedMatchMapper(Mapper):
@@ -104,58 +95,13 @@ class DistributedMatchMapper(Mapper):
             raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
         cfg = self.config
         n_t, n_r = problem.n_tasks, problem.n_resources
-        total = cfg.total_samples if cfg.total_samples is not None else paper_sample_size(n_r)
-        per_agent = max(2, total // cfg.n_agents)
-
-        streams = agent_streams(rng, cfg.n_agents)
-        agents = [_Agent(n_t, n_r, s) for s in streams]
-
-        global_best = np.inf
-        global_x = np.zeros(n_t, dtype=np.int64)
-        n_evals = 0
-        stagnant = 0
-        prev_global = np.inf
-        rounds = 0
-        n_syncs = 0
-
-        for r in range(1, cfg.max_rounds + 1):
-            rounds = r
-            for agent in agents:
-                cost, x, gamma = chain_round(
-                    agent.matrix, agent.rng, model, per_agent, cfg.rho, cfg.zeta
-                )
-                n_evals += per_agent
-                agent.last_gamma = gamma
-                if cost < agent.best_cost:
-                    agent.best_cost = cost
-                    agent.best_x = x.copy()
-                if agent.best_cost < global_best:
-                    global_best = agent.best_cost
-                    global_x = agent.best_x.copy()
-
-            if cfg.n_agents > 1 and r % cfg.sync_every == 0:
-                # Gossip: everyone drifts towards the best agent's matrix.
-                leader = min(agents, key=lambda a: a.best_cost)
-                leader_P = leader.matrix.values
-                for agent in agents:
-                    if agent is leader:
-                        continue
-                    agent.matrix = blend_towards(
-                        agent.matrix, leader_P, cfg.gossip_weight
-                    )
-                n_syncs += 1
-
-            if abs(global_best - prev_global) <= 1e-9:
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_global = global_best
-            if stagnant >= cfg.gamma_window:
-                break
-            if all(a.matrix.is_degenerate(tol=DEGENERACY_TOL) for a in agents):
-                break
-
-        return global_x, n_evals, {
+        per_agent = cfg.samples_per_agent(n_r)
+        agents = LocalAgents(
+            [ChainState(g, n_t, n_r, s) for g, s in enumerate(agent_streams(rng, cfg.n_agents))],
+            model, per_agent, cfg.rho, cfg.zeta, cfg.gossip_weight,
+        )
+        global_x, _, rounds, n_syncs = run_rounds(cfg, n_t, agents.round, agents.gossip)
+        return global_x, rounds * cfg.n_agents * per_agent, {
             "rounds": rounds,
             "n_agents": cfg.n_agents,
             "samples_per_agent": per_agent,

@@ -24,14 +24,16 @@ Three properties define the design, all pinned by tests:
 """
 
 from repro.islands.chains import (
+    AgentRecord,
     ChainRoundCell,
     ChainState,
+    LocalAgents,
     SyncRecord,
     agent_streams,
-    blend_towards,
     chain_round,
     replay_chain,
     run_chain_round,
+    run_rounds,
 )
 from repro.islands.coordinator import IslandCoordinator, run_loopback, shard_agents
 from repro.islands.island import IslandWorker, run_island
@@ -51,11 +53,13 @@ __all__ = [
     "shard_agents",
     "agent_streams",
     "chain_round",
-    "blend_towards",
     "replay_chain",
     "run_chain_round",
+    "run_rounds",
     "ChainRoundCell",
+    "AgentRecord",
     "ChainState",
+    "LocalAgents",
     "SyncRecord",
     "MAX_FRAME_BYTES",
     "encode_matrix",

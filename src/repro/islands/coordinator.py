@@ -4,9 +4,9 @@ The coordinator owns everything *global* about a distributed MaTCH run:
 it shards the per-round sample budget across agents exactly as the
 sequential simulation does (``per_agent = max(2, total // n_agents)``, so
 the run stays compute-fair against a monolithic solve), drives islands in
-lockstep rounds, elects the gossip leader (minimum best cost, ties to the
-lowest agent index — the same ``min()`` the simulation runs), and applies
-the simulation's stopping rules. Because every number an agent draws
+lockstep rounds through the one round loop the simulation also runs
+(:func:`repro.islands.chains.run_rounds`: leader election, gossip, the
+stopping rules). Because every number an agent draws
 depends only on the root seed and the agent index
 (:mod:`repro.islands.chains`), the coordinator's result is **bit-identical
 to the sequential** :class:`~repro.core.distributed.DistributedMatchMapper`
@@ -29,22 +29,12 @@ from __future__ import annotations
 import socket
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, FrameError, IslandError
 from repro.islands import wire as island_wire
-from repro.islands.chains import (
-    DEGENERACY_TOL,
-    ChainState,
-    SyncRecord,
-    blend_towards,
-    chain_round,
-    replay_chain,
-)
+from repro.islands.chains import LocalAgents, SyncRecord, replay_chain, run_rounds
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.runstore.store import RunHandle
-from repro.utils.rng import generator_from_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import DistributedMatchConfig
@@ -154,22 +144,16 @@ class IslandCoordinator:
         self.accept_timeout = accept_timeout
         self.run_handle = run
         self.round_hook = round_hook
-        from repro.core.config import paper_sample_size
-
         self._model = CostModel(problem)
-        total = (
-            config.total_samples
-            if config.total_samples is not None
-            else paper_sample_size(problem.n_resources)
-        )
-        self.per_agent = max(2, total // config.n_agents)
+        self.per_agent = config.samples_per_agent(problem.n_resources)
 
         self._islands: dict[int, _IslandConn] = {}
         self._owner: dict[int, int] = {}  # agent -> island id
         self._history: list[SyncRecord] = []
         self._history_wire: list[dict[str, Any]] = []
         self._failures: list[dict[str, Any]] = []
-        self._local_chains: dict[int, tuple[ChainState, np.random.Generator]] | None = None
+        #: Set once every island is lost: the coordinator finishes alone.
+        self._local: LocalAgents | None = None
         self._replayed_rounds = 0
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -252,55 +236,14 @@ class IslandCoordinator:
 
     def _drive(self) -> dict[str, Any]:
         cfg = self.config
-        n_t = self.problem.n_tasks
         n_agents = cfg.n_agents
-
-        agent_best = [float("inf")] * n_agents
-        agent_best_x = [np.zeros(n_t, dtype=np.int64) for _ in range(n_agents)]
-        agent_degenerate = [False] * n_agents
-        global_best = float("inf")
-        global_x = np.zeros(n_t, dtype=np.int64)
-        stagnant = 0
-        prev_global = float("inf")
-        rounds = 0
-        n_syncs = 0
-
-        for r in range(1, cfg.max_rounds + 1):
-            rounds = r
-            if self.round_hook is not None:
-                self.round_hook(r)
-            entries = self._phase_round(r)
-            # Fold in agent index order — the simulation updates the global
-            # incumbent inside its agent loop, so strict-improvement order
-            # is part of the bit-for-bit contract.
-            for g in range(n_agents):
-                entry = entries[g]
-                cost = float(entry["cost"])
-                if cost < agent_best[g]:
-                    agent_best[g] = cost
-                    agent_best_x[g] = np.asarray(entry["x"], dtype=np.int64)
-                agent_degenerate[g] = bool(entry["degenerate"])
-                if agent_best[g] < global_best:
-                    global_best = agent_best[g]
-                    global_x = agent_best_x[g].copy()
-
-            if n_agents > 1 and r % cfg.sync_every == 0:
-                leader = min(range(n_agents), key=lambda g: (agent_best[g], g))
-                flags = self._phase_gossip(r, leader)
-                for g, flag in flags.items():
-                    agent_degenerate[g] = flag
-                n_syncs += 1
-
-            if abs(global_best - prev_global) <= 1e-9:
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_global = global_best
-            if stagnant >= cfg.gamma_window:
-                break
-            if all(agent_degenerate):
-                break
-
+        global_x, global_best, rounds, n_syncs = run_rounds(
+            cfg,
+            self.problem.n_tasks,
+            self._phase_round,
+            self._phase_gossip,
+            round_hook=self.round_hook,
+        )
         n_evals = rounds * n_agents * self.per_agent
         result = {
             "assignment": [int(v) for v in global_x],
@@ -314,7 +257,7 @@ class IslandCoordinator:
                 "n_islands": self.n_islands,
                 "node_failures": len(self._failures),
                 "replayed_agent_rounds": self._replayed_rounds,
-                "finished_locally": self._local_chains is not None,
+                "finished_locally": self._local is not None,
             },
         }
         self._event("islands-run-completed", **result["extras"], best_cost=result["best_cost"])
@@ -322,8 +265,8 @@ class IslandCoordinator:
 
     # -- phase: one CE round ------------------------------------------------
     def _phase_round(self, r: int) -> dict[int, dict[str, Any]]:
-        if self._local_chains is not None:
-            return self._local_round(r)
+        if self._local is not None:
+            return self._local.round(r)
         entries: dict[int, dict[str, Any]] = {}
         sent: list[_IslandConn] = []
         for conn in self._alive():
@@ -353,8 +296,8 @@ class IslandCoordinator:
     # -- phase: gossip ------------------------------------------------------
     def _phase_gossip(self, r: int, leader: int) -> dict[int, bool]:
         cfg = self.config
-        if self._local_chains is not None:
-            return self._local_gossip(r, leader)
+        if self._local is not None:
+            return self._local.gossip(r, leader)
         # Fetch the leader's matrix (retrying across heals: the replayed
         # leader has a bit-identical matrix wherever it lands).
         while True:
@@ -364,7 +307,7 @@ class IslandCoordinator:
                     self._heal(r, include_sync_r=False)
                 except _AllIslandsLost:
                     self._go_local(r, include_sync_r=False)
-                    return self._local_gossip(r, leader)
+                    return self._phase_gossip(r, leader)
                 continue
             try:
                 island_wire.send_frame(
@@ -420,9 +363,8 @@ class IslandCoordinator:
                 healed = self._heal(r, include_sync_r=True)
             except _AllIslandsLost:
                 self._go_local(r, include_sync_r=True)
-                chains = self._local_chains
-                assert chains is not None
-                return {g: chains[g][0].degenerate for g in chains}
+                assert self._local is not None
+                return self._local.degenerate_flags()
             for g, entry in healed.items():
                 flags[g] = bool(entry["degenerate"])
         return flags
@@ -488,15 +430,16 @@ class IslandCoordinator:
 
         The node-tier analogue of the dispatcher's serial tail: the
         coordinator rebuilds every chain from the root seed and the gossip
-        history, then finishes the remaining rounds itself. Returns round
-        ``r``'s entries (empty when ``r`` is 0 — nothing ran yet).
+        history, then finishes the remaining rounds itself over the same
+        in-process agent set the simulation runs. Returns round ``r``'s
+        entries (empty when ``r`` is 0 — nothing ran yet).
         """
         cfg = self.config
         history = [
             h for h in self._history
             if h.round < r or (include_sync_r and h.round == r)
         ]
-        chains: dict[int, tuple[ChainState, np.random.Generator]] = {}
+        chains = []
         entries: dict[int, dict[str, Any]] = {}
         for g in range(cfg.n_agents):
             state, last_report = replay_chain(
@@ -504,11 +447,13 @@ class IslandCoordinator:
                 self.per_agent, cfg.rho, cfg.zeta, cfg.gossip_weight,
                 history, r,
             )
-            chains[g] = (state, generator_from_state(state.rng_state))
+            chains.append(state)
             if last_report is not None:
                 entries[g] = last_report
             self._replayed_rounds += r
-        self._local_chains = chains
+        self._local = LocalAgents(
+            chains, self._model, self.per_agent, cfg.rho, cfg.zeta, cfg.gossip_weight
+        )
         self._event(
             "islands-degraded-local",
             through_round=r,
@@ -516,40 +461,6 @@ class IslandCoordinator:
             n_agents=cfg.n_agents,
         )
         return entries
-
-    def _local_round(self, r: int) -> dict[int, dict[str, Any]]:
-        cfg = self.config
-        chains = self._local_chains
-        assert chains is not None
-        entries: dict[int, dict[str, Any]] = {}
-        for g in sorted(chains):
-            state, rng = chains[g]
-            cost, x, gamma = chain_round(
-                state.matrix, rng, self._model, self.per_agent, cfg.rho, cfg.zeta
-            )
-            state.last_gamma = gamma
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = x.copy()
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            entries[g] = {"cost": cost, "x": x, "gamma": gamma, "degenerate": state.degenerate}
-        return entries
-
-    def _local_gossip(self, r: int, leader: int) -> dict[int, bool]:
-        cfg = self.config
-        chains = self._local_chains
-        assert chains is not None
-        leader_P = chains[leader][0].matrix.values
-        self._history.append(SyncRecord(round=r, leader=leader, matrix=leader_P))
-        for g in sorted(chains):
-            state = chains[g][0]
-            if g == leader or state.last_sync >= r:
-                state.last_sync = max(state.last_sync, r)
-                continue
-            state.matrix = blend_towards(state.matrix, leader_P, cfg.gossip_weight)
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            state.last_sync = r
-        return {g: chains[g][0].degenerate for g in sorted(chains)}
 
     # -- plumbing -----------------------------------------------------------
     def _alive(self) -> list[_IslandConn]:

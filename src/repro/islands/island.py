@@ -23,22 +23,20 @@ import os
 import socket
 from typing import Any, Callable
 
-from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.exceptions import IslandError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
-    DEGENERACY_TOL,
     ChainRoundCell,
     ChainState,
     SyncRecord,
     agent_streams,
-    blend_towards,
     replay_chain,
     run_chain_round,
 )
 from repro.mapping.cost_model import CostModel
 from repro.service.wire import problem_from_wire
 from repro.utils.parallel import WorkerPool
+from repro.utils.rng import generator_state
 
 __all__ = ["IslandWorker", "run_island"]
 
@@ -120,7 +118,7 @@ class IslandWorker:
                         {
                             "type": "matrix",
                             "agent": g,
-                            "matrix": island_wire.encode_matrix(chains[g].matrix.values),
+                            "matrix": island_wire.encode_matrix(chains[g].matrix),
                         },
                     )
                 elif kind == "gossip":
@@ -154,8 +152,8 @@ class IslandWorker:
         cells = [
             ChainRoundCell(
                 problem_ref=ref,
-                matrix=chains[g].matrix.values,
-                rng_state=chains[g].rng_state,
+                matrix=chains[g].matrix,
+                rng_state=generator_state(chains[g].rng),
                 per_agent=per_agent,
                 rho=rho,
                 zeta=zeta,
@@ -175,16 +173,13 @@ class IslandWorker:
         agents_payload: dict[str, Any] = {}
         for g, outcome in zip(order, report.results):
             state = chains[g]
-            state.matrix = StochasticMatrix(outcome["matrix"])
-            state.rng_state = outcome["rng_state"]
-            state.last_gamma = float(outcome["gamma"])
-            state.degenerate = bool(outcome["degenerate"])
-            cost = float(outcome["cost"])
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = outcome["x"].copy()
+            state.matrix = outcome["matrix"]
+            # Reposition the agent's stream in place (cheaper than a new
+            # generator per round).
+            state.rng.bit_generator.state = outcome["rng_state"]
+            state.fold(outcome)
             agents_payload[str(g)] = {
-                "cost": cost,
+                "cost": float(outcome["cost"]),
                 "x": [int(v) for v in outcome["x"]],
                 "gamma": float(outcome["gamma"]),
                 "degenerate": bool(outcome["degenerate"]),
@@ -204,18 +199,11 @@ class IslandWorker:
     ) -> None:
         r = int(msg["round"])
         leader = int(msg["leader"])
-        leader_P = island_wire.decode_matrix(msg["matrix"], shape)
+        record = SyncRecord(
+            round=r, leader=leader, matrix=island_wire.decode_matrix(msg["matrix"], shape)
+        )
         for g in sorted(chains):
-            state = chains[g]
-            # Idempotent per agent: a re-broadcast after a mid-sync node
-            # loss must not blend twice (w·P + (1-w)·Q applied twice is a
-            # different matrix).
-            if g == leader or state.last_sync >= r:
-                state.last_sync = max(state.last_sync, r)
-                continue
-            state.matrix = blend_towards(state.matrix, leader_P, gossip_weight)
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            state.last_sync = r
+            chains[g].blend(record, gossip_weight)
         island_wire.send_frame(
             sock,
             {

@@ -22,7 +22,7 @@ accounting.
 
 Dedup note: CE's duplicate collapse means fewer objective rows are scored
 than candidates drawn; the budget charges the rows *actually evaluated*
-(memo hits and collapsed duplicates are free), i.e. real work, which is
+(collapsed duplicates are free), i.e. real work, which is
 the quantity a fair effort-matched comparison should equalize.
 """
 

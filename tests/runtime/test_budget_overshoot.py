@@ -11,8 +11,12 @@ that for the whole registry, at caps chosen to land mid-batch.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.core import AdaptiveMatchMapper, DistributedMatchMapper, RefinedMatchMapper
+from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
 from repro.mapping import MappingProblem
 from repro.runtime import EvaluationBudget, create_mapper, solver_names
@@ -42,6 +46,26 @@ def test_used_never_exceeds_cap(name: str, cap: int, problem: MappingProblem):
     # the run still produces a valid, costed assignment
     assert result.assignment.shape == (problem.n_tasks,)
     assert result.execution_time >= 0.0
+
+
+#: Mappers that run their whole search as one opaque step (``_solve``):
+#: they cannot stop mid-search, so they must refuse a limit, not overshoot it.
+ONE_STEP_MAPPERS = (AdaptiveMatchMapper, DistributedMatchMapper, RefinedMatchMapper)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("mapper_cls", ONE_STEP_MAPPERS, ids=lambda c: c.name)
+def test_one_step_mappers_refuse_a_capped_budget(mapper_cls, cap, problem):
+    budget = EvaluationBudget(max_evaluations=cap)
+    with pytest.raises(ConfigurationError, match=re.escape(mapper_cls.name)):
+        mapper_cls().map(problem, 7, budget=budget)
+    assert budget.used == 0
+
+
+@pytest.mark.parametrize("mapper_cls", ONE_STEP_MAPPERS, ids=lambda c: c.name)
+def test_one_step_mappers_refuse_a_time_limit(mapper_cls, problem):
+    with pytest.raises(ConfigurationError, match=re.escape(mapper_cls.name)):
+        mapper_cls().map(problem, 7, budget=EvaluationBudget(max_seconds=60.0))
 
 
 @pytest.mark.parametrize("name", sorted(solver_names()))

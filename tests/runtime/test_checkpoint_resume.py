@@ -11,6 +11,8 @@ and must land on the same final cost, assignment and evaluation count.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,30 @@ def test_killed_run_resumes_to_identical_result(
     # The resumed MT spans the whole logical run, so it can't be smaller
     # than the heuristic seconds already banked in the checkpoint.
     assert resumed.mapping_time >= payload["elapsed"]
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def test_checkpoint_written_by_older_code_resumes_to_golden_result(tmp_path):
+    """A committed MaTCH checkpoint written by an older engine (see
+    ``tests/fixtures/record_match_checkpoint.py``) still resumes to the
+    uninterrupted golden run: MaTCH, golden params, seed 3."""
+    path = tmp_path / "match.ckpt"
+    # resume_run keeps checkpointing to its input: work on a copy.
+    shutil.copy(FIXTURES / "match_checkpoint_v1.json", path)
+    payload = load_checkpoint(path)
+    assert payload["iteration"] == 28
+    golden = json.loads((FIXTURES / "golden_solvers.json").read_text())
+    entry = golden["mappers"]["MaTCH"]
+    assert payload["solver"]["name"] == entry["solver"]
+    assert payload["solver"]["params"]["max_iterations"] == entry["params"]["max_iterations"]
+    expected = next(run for run in entry["runs"] if run["seed"] == payload["seed"])
+
+    _, resumed = resume_run(path)
+    assert resumed.execution_time == expected["execution_time"]
+    assert resumed.assignment.tolist() == expected["assignment"]
+    assert resumed.n_evaluations == expected["n_evaluations"]
 
 
 def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
